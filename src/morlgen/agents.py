@@ -6,8 +6,8 @@ Preferences are discretized on a simplex grid; each grid weight owns its
 own Q-table over the dynamic episode state (position, orientation,
 collected-goals mask), and rewards are scalarized with that weight during
 training. Greedy evaluation recovers the underlying vector returns, whose
-Pareto filter is the agent's front. A per-context Pareto archive and a
-uniform-random-policy floor baseline round out the module.
+Pareto filter is the agent's front. A uniform-random-policy floor
+baseline rounds out the module.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fronts import ParetoFront, dominates, pareto_filter
+from .fronts import ParetoFront, pareto_filter
 from .lavagrid import DEFAULT_MAX_STEPS, LavaGridContext, LavaGridEnv, NUM_ACTIONS
 from .momdp import rollout
 from .stats import GENERATOR_ID, _rng_of
@@ -216,61 +216,16 @@ def build_front(
     context: LavaGridContext,
     gamma: float,
     max_steps: int | None = None,
-    max_weights: int | None = None,
 ) -> ParetoFront:
     """Pareto filter of the greedy value vectors over the weight grid.
 
     Surviving points are tagged with their generating weight index.
-    `max_weights` caps the sweep (the evaluation episode budget).
     """
-    grid = np.asarray(weight_grid, dtype=float)
-    n = len(grid) if max_weights is None else min(len(grid), max_weights)
+    n = len(weight_grid)
     vectors = [
         greedy_value_vector(q, widx, context, gamma, max_steps) for widx in range(n)
     ]
     return pareto_filter(np.array(vectors), tags=list(range(n)))
-
-
-class ContextTaggedArchive:
-    """Pareto archive partitioned by context: dominance never crosses tags.
-
-    Mitigates the failure mode where a shared archive overrepresents
-    policies from high-reward contexts and evicts the best policies of
-    harder ones.
-    """
-
-    def __init__(self):
-        self._fronts: dict = {}
-
-    def insert(self, context_id, value, policy_handle) -> bool:
-        """Insert unless dominated within the context; evict what it beats."""
-        vec = np.asarray(value, dtype=float)
-        entries = self._fronts.setdefault(context_id, [])
-        if entries and entries[0][0].shape != vec.shape:
-            raise ValueError("dimension mismatch within context front")
-        for existing, _ in entries:
-            if dominates(existing, vec) or np.array_equal(existing, vec):
-                return False
-        self._fronts[context_id] = [
-            (v, h) for v, h in entries if not dominates(vec, v)
-        ] + [(vec, policy_handle)]
-        return True
-
-    def front(self, context_id) -> ParetoFront:
-        entries = self._fronts.get(context_id, [])
-        if not entries:
-            return ParetoFront(np.empty((0, 0)), _checked=True)
-        return ParetoFront(
-            np.array([v for v, _ in entries]),
-            tags=[h for _, h in entries],
-            _checked=True,
-        )
-
-    def context_ids(self) -> list:
-        return list(self._fronts)
-
-    def __len__(self) -> int:
-        return sum(len(v) for v in self._fronts.values())
 
 
 def random_policy_front(

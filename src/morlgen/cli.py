@@ -85,7 +85,7 @@ def _load_config(path_str: str) -> tuple[harness.EvalConfig, Path]:
 def cmd_oracle(args) -> int:
     ctx = _resolve_context(args.context)
     out_dir = Path(args.out)
-    _write_manifest(out_dir, "oracle", None, args.seed, context=ctx.to_json_obj())
+    _write_manifest(out_dir, "oracle", None, None, context=ctx.to_json_obj())
     try:
         result = oracle.pareto_backward_induction(
             ctx, args.gamma, args.horizon, cap=args.cap
@@ -119,31 +119,13 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         config.seeds = [args.seed]
     _write_manifest(out_dir, "train", config_path, config.seeds[0])
-    grid = config.weight_grid()
     modes = args.mode
     for seed in config.seeds:
         if "generalist" in modes:
-            q = agents.train_scalarized_q(
-                context_source=config.dr_space(),
-                weight_grid=grid,
-                episodes=config.train_episodes,
-                gamma=config.gamma,
-                stream=harness.RandomStream(seed, (harness._TRAIN,)),
-                alpha=config.alpha,
-                max_steps=config.max_steps,
-            )
-            q.save(out_dir / f"generalist_seed{seed}.json")
+            harness.train_agent(config, seed).save(out_dir / f"generalist_seed{seed}.json")
         if "specialists" in modes:
-            for idx, (name, ctx) in enumerate(config.contexts):
-                q = agents.train_scalarized_q(
-                    context_source=ctx,
-                    weight_grid=grid,
-                    episodes=config.train_episodes,
-                    gamma=config.gamma,
-                    stream=harness.RandomStream(seed, (harness._SPECIALIST, idx)),
-                    alpha=config.alpha,
-                    max_steps=config.max_steps,
-                )
+            for idx, (name, _) in enumerate(config.contexts):
+                q = harness.train_agent(config, seed, idx)
                 q.save(out_dir / f"specialist_seed{seed}_{name}.json")
     print(f"trained {', '.join(modes)} for seeds {config.seeds}")
     return EXIT_OK
@@ -151,7 +133,6 @@ def cmd_train(args) -> int:
 
 def _snapshot_fronts(config, snapshot_dir: Path, kind: str):
     """front_for_cell closure over trained snapshots, or raise InputError."""
-    grid = config.weight_grid()
 
     def front_for_cell(seed, idx, name, ctx):
         if kind == "generalist":
@@ -160,15 +141,7 @@ def _snapshot_fronts(config, snapshot_dir: Path, kind: str):
             path = snapshot_dir / f"specialist_seed{seed}_{name}.json"
         if not path.exists():
             raise InputError(f"missing agent snapshot {path}")
-        q = agents.TabularQ.load(path)
-        return agents.build_front(
-            q,
-            grid,
-            ctx,
-            config.gamma,
-            max_steps=config.max_steps,
-            max_weights=config.eval_episodes,
-        )
+        return harness.greedy_front(config, agents.TabularQ.load(path), ctx)
 
     return front_for_cell
 
@@ -280,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=DEFAULT_MAX_STEPS)
     p.add_argument("--cap", type=int, default=32, help="per-state set-size cap")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("train", help="train generalist and/or specialist agents")

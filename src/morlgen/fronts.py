@@ -20,10 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Exact hypervolume is computed up to this many objectives; beyond it a
-# Monte Carlo estimate (caller-supplied sample count and rng) is required.
-MAX_EXACT_HV_DIM = 6
-
 
 class DegenerateRangeError(ValueError):
     """Raised when a normalization range collapses (v_max_i == v_min_i)."""
@@ -58,16 +54,6 @@ def _as_vector(v, dim: int | None = None) -> np.ndarray:
         raise ValueError("vector contains non-finite values")
     if dim is not None and arr.shape[0] != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {arr.shape[0]}")
-    return arr
-
-
-def validate_weights(w, dim: int | None = None, tol: float = 1e-9) -> np.ndarray:
-    """Validate a weight vector: nonnegative components summing to 1."""
-    arr = _as_vector(w, dim)
-    if (arr < 0).any():
-        raise ValueError("weight components must be nonnegative")
-    if abs(arr.sum() - 1.0) > tol:
-        raise ValueError(f"weights must sum to 1, got {arr.sum()!r}")
     return arr
 
 
@@ -307,14 +293,13 @@ def _front_points(front) -> np.ndarray:
     return _as_points(front)
 
 
-def hypervolume(front, ref_point, mc_samples: int | None = None, rng=None) -> float:
+def hypervolume(front, ref_point) -> float:
     """Hypervolume of `front` relative to `ref_point` (maximization).
 
     The value is the Lebesgue measure of the union of axis-aligned boxes
     [ref_point, p]; points with any component at or below the reference
-    contribute nothing. Exact (recursive objective slicing) up to
-    ``MAX_EXACT_HV_DIM`` objectives; beyond that a Monte Carlo estimate is
-    returned and both `mc_samples` and `rng` must be supplied.
+    contribute nothing. Exact for any number of objectives (recursive
+    objective slicing).
     """
     pts = _front_points(front)
     if pts.shape[0] == 0:
@@ -324,37 +309,7 @@ def hypervolume(front, ref_point, mc_samples: int | None = None, rng=None) -> fl
     shifted = shifted[(shifted > 0).all(axis=1)]
     if shifted.shape[0] == 0:
         return 0.0
-    if pts.shape[1] <= MAX_EXACT_HV_DIM:
-        return _hv_exact(shifted)
-    if mc_samples is None or rng is None:
-        raise ValueError(
-            f"exact hypervolume supports at most {MAX_EXACT_HV_DIM} objectives; "
-            "supply mc_samples and rng for a Monte Carlo estimate"
-        )
-    return hypervolume_monte_carlo(shifted, np.zeros(pts.shape[1]), mc_samples, rng)
-
-
-def hypervolume_monte_carlo(front, ref_point, n_samples: int, rng) -> float:
-    """Monte Carlo hypervolume estimate (hit ratio in the bounding box)."""
-    pts = _front_points(front)
-    if pts.shape[0] == 0:
-        return 0.0
-    ref = _as_vector(ref_point, pts.shape[1])
-    upper = pts.max(axis=0)
-    span = upper - ref
-    if (span <= 0).any():
-        return 0.0
-    box_vol = float(np.prod(span))
-    hits = 0
-    batch = 100_000
-    remaining = int(n_samples)
-    while remaining > 0:
-        m = min(batch, remaining)
-        samples = ref + span * rng.random((m, pts.shape[1]))
-        covered = (samples[:, None, :] < pts[None, :, :]).all(axis=2).any(axis=1)
-        hits += int(covered.sum())
-        remaining -= m
-    return box_vol * hits / n_samples
+    return _hv_exact(shifted)
 
 
 def normalize_front(front, bounds: FrontBounds) -> np.ndarray:
@@ -368,14 +323,14 @@ def normalize_front(front, bounds: FrontBounds) -> np.ndarray:
     return np.clip(scaled, 0.0, 1.0)
 
 
-def hv_norm(front, bounds: FrontBounds, mc_samples: int | None = None, rng=None) -> float:
+def hv_norm(front, bounds: FrontBounds) -> float:
     """Normalized hypervolume: min-max scale by `bounds`, reference at origin.
 
     Out-of-range coordinates are clamped to [0,1], so the result always
     lies in [0,1] regardless of whether the front exceeds the bounds.
     """
     scaled = normalize_front(front, bounds)
-    return hypervolume(scaled, np.zeros(bounds.num_objectives), mc_samples, rng)
+    return hypervolume(scaled, np.zeros(bounds.num_objectives))
 
 
 def nhgr(approx, optimal: ParetoFront) -> float:
@@ -398,13 +353,6 @@ def nhgr(approx, optimal: ParetoFront) -> float:
     if denom == 0.0:
         raise UndefinedRatioError("optimal front has zero normalized hypervolume")
     return min(hv_norm(approx, bounds) / denom, 1.0)
-
-
-def linear_utility(v, w) -> float:
-    """Linear scalarization: dot product of a value vector and weights."""
-    vv = _as_vector(v)
-    wv = _as_vector(w, vv.shape[0])
-    return float(vv @ wv)
 
 
 def eum(front, weights) -> float:

@@ -13,23 +13,29 @@ output.
 from __future__ import annotations
 
 import csv
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import __version__, agents, oracle
 from .fronts import (
-    DegenerateRangeError,
     FrontBounds,
     ParetoFront,
-    UndefinedRatioError,
     eum,
+    hv_norm,
     hypervolume,
     nhgr,
     pareto_filter,
 )
-from .lavagrid import DEFAULT_GAMMA, DEFAULT_MAX_STEPS, LavaGridContext, LavaGridSpace
+from .lavagrid import (
+    DEFAULT_GAMMA,
+    DEFAULT_MAX_STEPS,
+    LavaGridContext,
+    LavaGridSpace,
+    builtin_context,
+)
 from .stats import GENERATOR_ID, RandomStream, iqm, optimality_gap, sample_simplex_batch
 
 # Stream-id lanes, so every randomness consumer has a stable coordinate.
@@ -68,6 +74,12 @@ class EvalConfig:
             raise ValueError("episode and weight-sample counts must be positive")
         if self.train_episodes < 1:
             raise ValueError("train_episodes must be positive")
+        grid_size = len(self.weight_grid())
+        if self.eval_episodes < grid_size:
+            raise ValueError(
+                f"eval_episodes ({self.eval_episodes}) is below the weight-grid "
+                f"size ({grid_size}); greedy fronts sweep every grid weight"
+            )
 
     def dr_space(self) -> LavaGridSpace:
         return LavaGridSpace(self.dr_width, self.dr_height, tuple(self.dr_lava_range))
@@ -76,33 +88,20 @@ class EvalConfig:
         return agents.weight_grid(self.weight_grid_resolution, 3)
 
     def to_json_obj(self) -> dict:
-        return {
-            "contexts": [
-                {"name": name, "context": ctx.to_json_obj()}
-                for name, ctx in self.contexts
-            ],
-            "seeds": list(self.seeds),
-            "eval_episodes": self.eval_episodes,
-            "eum_weight_samples": self.eum_weight_samples,
-            "gamma": self.gamma,
-            "max_steps": self.max_steps,
-            "train_episodes": self.train_episodes,
-            "weight_grid_resolution": self.weight_grid_resolution,
-            "alpha": self.alpha,
-            "oracle_cap": self.oracle_cap,
-            "oracle_state_limit": self.oracle_state_limit,
-            "reference_specialist_episodes": self.reference_specialist_episodes,
-            "reference_seed": self.reference_seed,
-            "dr_width": self.dr_width,
-            "dr_height": self.dr_height,
-            "dr_lava_range": list(self.dr_lava_range),
-        }
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj["contexts"] = [
+            {"name": name, "context": ctx.to_json_obj()} for name, ctx in self.contexts
+        ]
+        obj["seeds"] = list(self.seeds)
+        obj["dr_lava_range"] = list(self.dr_lava_range)
+        return obj
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "EvalConfig":
-        from .lavagrid import builtin_context
-
         try:
+            unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+            if unknown:
+                raise ValueError(f"invalid config: unknown key(s) {unknown}")
             contexts = []
             for item in obj["contexts"]:
                 if "builtin" in item:
@@ -111,28 +110,10 @@ class EvalConfig:
                 else:
                     ctx = LavaGridContext.from_json_obj(item["context"])
                     contexts.append((item.get("name", ctx.name or "context"), ctx))
-            kwargs = {
-                k: obj[k]
-                for k in (
-                    "eval_episodes",
-                    "eum_weight_samples",
-                    "gamma",
-                    "max_steps",
-                    "train_episodes",
-                    "weight_grid_resolution",
-                    "alpha",
-                    "oracle_cap",
-                    "oracle_state_limit",
-                    "reference_specialist_episodes",
-                    "reference_seed",
-                    "dr_width",
-                    "dr_height",
-                )
-                if k in obj
-            }
+            kwargs = dict(obj, contexts=contexts, seeds=list(obj["seeds"]))
             if "dr_lava_range" in obj:
                 kwargs["dr_lava_range"] = tuple(obj["dr_lava_range"])
-            return cls(contexts=contexts, seeds=list(obj["seeds"]), **kwargs)
+            return cls(**kwargs)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"invalid config: {exc}") from None
 
@@ -163,6 +144,7 @@ def make_reference_fronts(config: EvalConfig) -> dict[str, ReferenceFront]:
         state_layers = (
             layout.width * layout.height * 4 * (1 << n_goals) * config.max_steps
         )
+        orf = None
         if state_layers <= config.oracle_state_limit:
             orf = oracle.pareto_backward_induction(
                 ctx, config.gamma, config.max_steps, cap=config.oracle_cap
@@ -172,30 +154,20 @@ def make_reference_fronts(config: EvalConfig) -> dict[str, ReferenceFront]:
                     orf.front, "oracle-exact", witnesses=orf.witnesses
                 )
                 continue
-            spec = oracle.specialist_front(
-                ctx,
-                config.reference_specialist_episodes,
-                config.gamma,
-                ref_stream.substream(i),
-                weight_grid_resolution=config.weight_grid_resolution,
-                max_steps=config.max_steps,
-                alpha=config.alpha,
-            )
-            union = pareto_filter(
-                np.vstack([orf.front.points, spec.points])
-            )
-            refs[name] = ReferenceFront(union, "oracle-eps-pruned", epsilon=orf.epsilon)
-        else:
-            spec = oracle.specialist_front(
-                ctx,
-                config.reference_specialist_episodes,
-                config.gamma,
-                ref_stream.substream(i),
-                weight_grid_resolution=config.weight_grid_resolution,
-                max_steps=config.max_steps,
-                alpha=config.alpha,
-            )
+        spec = oracle.specialist_front(
+            ctx,
+            config.reference_specialist_episodes,
+            config.gamma,
+            ref_stream.substream(i),
+            weight_grid_resolution=config.weight_grid_resolution,
+            max_steps=config.max_steps,
+            alpha=config.alpha,
+        )
+        if orf is None:
             refs[name] = ReferenceFront(spec, "specialist")
+        else:
+            union = pareto_filter(np.vstack([orf.front.points, spec.points]))
+            refs[name] = ReferenceFront(union, "oracle-eps-pruned", epsilon=orf.epsilon)
     return refs
 
 
@@ -270,9 +242,19 @@ class EvalReport:
 
 
 def _aggregate(cells: list[dict]) -> dict[str, float]:
+    """IQM and optimality gap per ratio metric over the cells that define it.
+
+    EUGR skips cells whose reference EUM is negative: there the ratio's
+    order is inverted, so it cannot be averaged with the others.
+    """
     out: dict[str, float] = {}
     for metric in ("nhgr", "eugr"):
-        scores = [c[metric] for c in cells if c[metric] is not None]
+        scores = [
+            c[metric]
+            for c in cells
+            if c[metric] is not None
+            and not (metric == "eugr" and c["eugr_denominator_negative"])
+        ]
         if scores:
             out[f"{metric}_iqm"] = iqm(scores)
             out[f"{metric}_optimality_gap"] = optimality_gap(scores)
@@ -286,10 +268,8 @@ def _reference_valid(ref: ReferenceFront) -> bool:
     """A reference front supports NHGR iff its bounds and HV are nondegenerate."""
     try:
         bounds = FrontBounds.of_front(ref.front)
-    except (DegenerateRangeError, ValueError):
+    except ValueError:  # includes DegenerateRangeError
         return False
-    from .fronts import hv_norm
-
     return hv_norm(ref.front, bounds) > 0.0
 
 
@@ -299,10 +279,18 @@ def evaluate_custom(
     agent_kind: str,
     front_for_cell,
 ) -> EvalReport:
-    """Score `front_for_cell(seed, index, name, context)` over all cells."""
+    """Score `front_for_cell(seed, index, name, context)` over all cells.
+
+    Raises ValueError, before any cell is scored, when every context's
+    reference front is degenerate.
+    """
     ordered = sorted(enumerate(config.contexts), key=lambda item: item[1][0])
     valid = {name: _reference_valid(refs[name]) for _, (name, _) in ordered}
     excluded = sorted(name for name, ok in valid.items() if not ok)
+    if len(excluded) == len(valid):
+        raise ValueError(
+            f"every context has a degenerate reference front: {excluded}"
+        )
 
     cells: list[dict] = []
     for seed in config.seeds:
@@ -353,35 +341,45 @@ def evaluate_custom(
     return report
 
 
+def train_agent(config: EvalConfig, seed: int, idx: int | None = None) -> agents.TabularQ:
+    """Train the generalist of `seed` or, given `idx`, that context's specialist.
+
+    The generalist samples a fresh context from the domain-randomization
+    space every episode; the specialist trains on `config.contexts[idx]`.
+    """
+    if idx is None:
+        source, lane = config.dr_space(), (_TRAIN,)
+    else:
+        source, lane = config.contexts[idx][1], (_SPECIALIST, idx)
+    return agents.train_scalarized_q(
+        context_source=source,
+        weight_grid=config.weight_grid(),
+        episodes=config.train_episodes,
+        gamma=config.gamma,
+        stream=RandomStream(seed, lane),
+        alpha=config.alpha,
+        max_steps=config.max_steps,
+    )
+
+
+def greedy_front(
+    config: EvalConfig, q: agents.TabularQ, ctx: LavaGridContext
+) -> ParetoFront:
+    """The agent's front on `ctx`: its greedy policies over the weight grid."""
+    return agents.build_front(
+        q, config.weight_grid(), ctx, config.gamma, max_steps=config.max_steps
+    )
+
+
 def evaluate_generalist(
     config: EvalConfig, refs: dict[str, ReferenceFront] | None = None
 ) -> EvalReport:
     """Train one domain-randomized generalist per seed and score it."""
     refs = make_reference_fronts(config) if refs is None else refs
-    grid = config.weight_grid()
-    space = config.dr_space()
-    agents_by_seed = {
-        seed: agents.train_scalarized_q(
-            context_source=space,
-            weight_grid=grid,
-            episodes=config.train_episodes,
-            gamma=config.gamma,
-            stream=RandomStream(seed, (_TRAIN,)),
-            alpha=config.alpha,
-            max_steps=config.max_steps,
-        )
-        for seed in config.seeds
-    }
+    generalist = functools.cache(lambda seed: train_agent(config, seed))
 
     def front_for_cell(seed, idx, name, ctx):
-        return agents.build_front(
-            agents_by_seed[seed],
-            grid,
-            ctx,
-            config.gamma,
-            max_steps=config.max_steps,
-            max_weights=config.eval_episodes,
-        )
+        return greedy_front(config, generalist(seed), ctx)
 
     return evaluate_custom(config, refs, "generalist", front_for_cell)
 
@@ -391,29 +389,9 @@ def evaluate_specialists(
 ) -> EvalReport:
     """Train one fixed-context specialist per (seed, context) and score it."""
     refs = make_reference_fronts(config) if refs is None else refs
-    grid = config.weight_grid()
-    trained: dict[tuple[int, int], agents.TabularQ] = {}
 
     def front_for_cell(seed, idx, name, ctx):
-        key = (seed, idx)
-        if key not in trained:
-            trained[key] = agents.train_scalarized_q(
-                context_source=ctx,
-                weight_grid=grid,
-                episodes=config.train_episodes,
-                gamma=config.gamma,
-                stream=RandomStream(seed, (_SPECIALIST, idx)),
-                alpha=config.alpha,
-                max_steps=config.max_steps,
-            )
-        return agents.build_front(
-            trained[key],
-            grid,
-            ctx,
-            config.gamma,
-            max_steps=config.max_steps,
-            max_weights=config.eval_episodes,
-        )
+        return greedy_front(config, train_agent(config, seed, idx), ctx)
 
     return evaluate_custom(config, refs, "specialist", front_for_cell)
 

@@ -1,17 +1,15 @@
-"""Contextual multi-objective MDP contract and episode rollout.
+"""Episode rollout for multi-objective environments with vector rewards.
 
 A context fully determines one environment configuration (transitions,
-rewards, initial state). Environments implement a small reset/step
-contract with vector rewards; `rollout` accumulates the discounted vector
-return of a policy. Context sampling for domain randomization is a thin
-protocol so domains can declare their own parameter spaces.
+rewards, initial state). An environment exposes `reset(context)`,
+`step(action) -> Transition`, `num_objectives()` and `action_count()`;
+`rollout` accumulates the discounted vector return of a policy on it.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol
+from typing import Any, Callable
 
 import numpy as np
 
@@ -34,61 +32,24 @@ class EpisodeOverError(RuntimeError):
     """Raised when step() is called after terminal/truncated without reset."""
 
 
-class EnvironmentContract(abc.ABC):
-    """Episodic multi-objective environment driven by an explicit context.
-
-    Identical (context, stream, action sequence) must reproduce identical
-    transitions. One instance serves one episode at a time; run concurrent
-    episodes on separate instances with disjoint streams.
-    """
-
-    @abc.abstractmethod
-    def reset(self, context, stream=None):
-        """Begin an episode under `context`; returns the initial observation."""
-
-    @abc.abstractmethod
-    def step(self, action: int) -> Transition:
-        """Advance one step. Raises EpisodeOverError after episode end."""
-
-    @abc.abstractmethod
-    def num_objectives(self) -> int:
-        ...
-
-    @abc.abstractmethod
-    def action_count(self) -> int:
-        ...
-
-
-class ContextSpace(Protocol):
-    """A declared context parameter space supporting uniform sampling."""
-
-    def sample(self, stream): ...
-
-
-def domain_randomization_sampler(space: ContextSpace, stream):
-    """Draw one context uniformly from the declared parameter space."""
-    return space.sample(stream)
-
-
 def rollout(
-    env: EnvironmentContract,
+    env,
     policy: Callable[[Any], int],
     context,
     gamma: float,
-    stream=None,
     max_steps: int = 256,
 ) -> np.ndarray:
     """Discounted vector return of `policy` on one episode of `context`.
 
     Accumulates sum_t gamma^t r_{t+1} componentwise until the environment
     reports terminal or truncated, or `max_steps` elapse. Deterministic
-    given (context, stream, policy).
+    given (context, policy).
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must be in [0, 1)")
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
-    obs = env.reset(context, stream)
+    obs = env.reset(context)
     ret = np.zeros(env.num_objectives())
     disc = 1.0
     for _ in range(max_steps):

@@ -47,13 +47,6 @@ class OracleFront:
     exact: bool
     epsilon: float = 0.0  # largest pruning epsilon applied, 0 when exact
 
-    def witness_of(self, point) -> str:
-        pts = self.front.points
-        for i in range(pts.shape[0]):
-            if np.array_equal(pts[i], np.asarray(point, dtype=float)):
-                return self.witnesses[i]
-        raise KeyError(f"point {point!r} not in oracle front")
-
 
 def _build_tables(context: LavaGridContext):
     """Per-state transition and reward tables over (x, y, dir, mask)."""

@@ -1,4 +1,4 @@
-"""Tests for tabular scalarized Q-learning, archives, and baselines."""
+"""Tests for tabular scalarized Q-learning and the random-policy baseline."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from morlgen.agents import (
-    ContextTaggedArchive,
     TabularQ,
     build_front,
     greedy_value_vector,
@@ -14,7 +13,7 @@ from morlgen.agents import (
     train_scalarized_q,
     weight_grid,
 )
-from morlgen.fronts import dominates, hypervolume
+from morlgen.fronts import hypervolume
 from morlgen.lavagrid import (
     EAST,
     NORTH,
@@ -172,13 +171,6 @@ class TestBuildFront:
             best = max(float(w @ v) for v in vectors)
             assert float(w @ point) >= best - 1e-9
 
-    def test_max_weights_caps_sweep(self):
-        grid = weight_grid(4, 3)
-        q = train_scalarized_q(TWO_GOALS, grid, 500, 0.9, RandomStream(5, (0,)),
-                               max_steps=8)
-        front = build_front(q, grid, TWO_GOALS, 0.9, max_steps=8, max_weights=3)
-        assert all(t < 3 for t in front.tags)
-
 
 class TestSnapshots:
     def test_round_trip(self, tmp_path):
@@ -210,55 +202,6 @@ class TestSnapshots:
     def test_version_mismatch(self):
         with pytest.raises(ValueError):
             TabularQ.from_json_obj({"version": 999})
-
-
-class TestArchive:
-    def test_incomparable_both_kept(self):
-        arc = ContextTaggedArchive()
-        assert arc.insert("c", (1, 0), "p1")
-        assert arc.insert("c", (0, 1), "p2")
-        assert len(arc.front("c")) == 2
-
-    def test_dominated_rejected(self):
-        arc = ContextTaggedArchive()
-        arc.insert("c", (0.5, 0.5), "p1")
-        assert not arc.insert("c", (0.4, 0.4), "p2")
-
-    def test_cross_context_independent(self):
-        arc = ContextTaggedArchive()
-        arc.insert("b", (0.5, 0.5), "p1")
-        assert arc.insert("a", (0.4, 0.4), "p2")
-        assert len(arc.front("a")) == 1
-
-    def test_eviction(self):
-        arc = ContextTaggedArchive()
-        arc.insert("c", (0.4, 0.4), "old")
-        assert arc.insert("c", (0.5, 0.5), "new")
-        front = arc.front("c")
-        assert front.points.tolist() == [[0.5, 0.5]]
-        assert front.tags == ["new"]
-
-    def test_duplicate_rejected(self):
-        arc = ContextTaggedArchive()
-        arc.insert("c", (1, 1), "p1")
-        assert not arc.insert("c", (1, 1), "p2")
-
-    def test_dimension_mismatch(self):
-        arc = ContextTaggedArchive()
-        arc.insert("c", (1, 1), "p1")
-        with pytest.raises(ValueError):
-            arc.insert("c", (1, 1, 1), "p2")
-
-    def test_fronts_stay_antichains(self):
-        rng = np.random.default_rng(8)
-        arc = ContextTaggedArchive()
-        for _ in range(200):
-            arc.insert("c", tuple(rng.random(3)), None)
-        pts = arc.front("c").points
-        for i in range(len(pts)):
-            for j in range(len(pts)):
-                if i != j:
-                    assert not dominates(pts[i], pts[j])
 
 
 class TestRandomPolicyFront:

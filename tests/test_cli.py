@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import micro_config, micro_suite
+from conftest import micro_config, micro_context, micro_suite
+from morlgen import harness
 from morlgen.cli import EXIT_APPROXIMATE, EXIT_INPUT_ERROR, EXIT_OK, main
 from morlgen.fronts import ParetoFront
 from morlgen.oracle import enumerate_returns
@@ -39,6 +40,7 @@ class TestOracleCommand:
         assert code in (EXIT_OK, EXIT_APPROXIMATE)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["subcommand"] == "oracle"
+        assert manifest["base_seed"] is None
         assert manifest["context"]["weights"] == pytest.approx([0.05, 0.05, 0.90])
         assert (out / "front.csv").exists()
         assert (out / "witnesses.json").exists()
@@ -75,6 +77,34 @@ class TestOracleCommand:
         sidecar = json.loads((out / "witnesses.json").read_text())
         assert sidecar["exact"] is False
         assert sidecar["epsilon"] > 0
+
+
+class TestConfigErrors:
+    def assert_train_and_eval_exit_2(self, tmp_path, cfg):
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "t")]) == EXIT_INPUT_ERROR
+        assert main(["eval", "--config", str(cfg), "--self-test",
+                     "--out", str(tmp_path / "e")]) == EXIT_INPUT_ERROR
+
+    def test_unknown_key_exit_2(self, tmp_path, capsys):
+        self.assert_train_and_eval_exit_2(tmp_path, write_config(tmp_path, train_episode=1))
+        assert "train_episode" in capsys.readouterr().err
+
+    def test_eval_episodes_below_grid_size_exit_2(self, tmp_path):
+        # the micro config's resolution 4 gives 15 grid weights
+        self.assert_train_and_eval_exit_2(tmp_path, write_config(tmp_path, eval_episodes=14))
+
+    def test_every_context_excluded_exit_2(self, tmp_path, capsys):
+        trivial = micro_context(["G..", "...", "..."], [1.0, 0.0, 0.0], "Trivial",
+                                start=(0, 1))
+        cfg = write_config(
+            tmp_path, contexts=[{"name": "Trivial", "context": trivial.to_json_obj()}]
+        )
+        out = tmp_path / "o"
+        assert main(["eval", "--config", str(cfg), "--self-test",
+                     "--out", str(out)]) == EXIT_INPUT_ERROR
+        assert "Trivial" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
 
 class TestTrainCommand:
@@ -153,6 +183,24 @@ class TestEvalCommand:
         assert (out / "cells").is_dir()
 
 
+class TestCliMatchesHarness:
+    def test_reports_byte_identical(self, tmp_path):
+        cfg = micro_config(seeds=[0, 1], train_episodes=300)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg.to_json_obj()))
+        snaps = tmp_path / "snaps"
+        assert main(["train", "--config", str(path), "--out", str(snaps)]) == EXIT_OK
+        refs = harness.make_reference_fronts(cfg)
+        for kind, evaluate in (
+            ("generalist", harness.evaluate_generalist),
+            ("specialist", harness.evaluate_specialists),
+        ):
+            out = tmp_path / kind
+            assert main(["eval", "--config", str(path), "--agents", str(snaps),
+                         "--kind", kind, "--out", str(out)]) == EXIT_OK
+            assert (out / "report.json").read_text() == evaluate(cfg, refs).to_json()
+
+
 class TestReportCommand:
     def make_report(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -188,3 +236,13 @@ class TestReportCommand:
         main(["report", str(path)])
         out = capsys.readouterr().out
         assert "IQM=1.000" in out and "gap=0.000" in out
+
+    def test_negative_eugr_denominator_left_out_of_aggregate(self, tmp_path, capsys):
+        path = self.make_report(tmp_path)
+        obj = json.loads(path.read_text())
+        obj["cells"][0]["eugr"] = -5.0
+        obj["cells"][0]["eugr_denominator_negative"] = True
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["report", str(path)]) == EXIT_OK
+        assert "EUGR: IQM=1.000 gap=0.000" in capsys.readouterr().out

@@ -18,8 +18,6 @@ from morlgen.fronts import (
     eum,
     hv_norm,
     hypervolume,
-    hypervolume_monte_carlo,
-    linear_utility,
     nhgr,
     nondominated_indices,
     normalize_front,
@@ -53,6 +51,18 @@ def brute_force_front(points):
     """Sorted nondominated point set of the brute-force oracle."""
     pts = [tuple(p) for p in points]
     return sorted(pts[i] for i in brute_force_indices(points))
+
+
+def monte_carlo_hv(points, n, rng):
+    """Independent hypervolume oracle: hit ratio of n uniform samples in the
+    bounding box [0, max(points)], in batches of 100,000."""
+    pts = np.asarray(points, dtype=float)
+    upper = pts.max(axis=0)
+    hits = 0
+    for start in range(0, n, 100_000):
+        s = upper * rng.random((min(100_000, n - start), pts.shape[1]))
+        hits += int((s[:, None, :] < pts[None, :, :]).all(axis=2).any(axis=1).sum())
+    return float(np.prod(upper)) * hits / n
 
 
 def sweep_hv_2d(points, ref):
@@ -184,7 +194,7 @@ class TestHypervolume:
             f = pareto_filter(rng.random((12, 3)))
             exact = hypervolume(f, np.zeros(3))
             n = 200_000
-            est = hypervolume_monte_carlo(f, np.zeros(3), n, np.random.default_rng(1))
+            est = monte_carlo_hv(f.points, n, np.random.default_rng(1))
             box = float(np.prod(f.points.max(axis=0)))
             p = est / box if box else 0.0
             se = box * np.sqrt(max(p * (1 - p), 1e-12) / n)
@@ -215,15 +225,11 @@ class TestHypervolume:
                 pareto_filter(pts[:, perm]), ref[perm]
             ) == pytest.approx(base, abs=1e-9)
 
-    def test_high_dim_requires_mc(self):
+    def test_high_dim_exact(self):
         pts = np.ones((1, 7)) * 0.5
-        with pytest.raises(ValueError):
-            hypervolume(pareto_filter(pts), np.zeros(7))
-        est = hypervolume(
-            pareto_filter(pts), np.zeros(7), mc_samples=50_000,
-            rng=np.random.default_rng(0),
+        assert hypervolume(pareto_filter(pts), np.zeros(7)) == pytest.approx(
+            0.5**7, rel=1e-12
         )
-        assert est == pytest.approx(0.5**7, rel=0.2)
 
     def test_empty_front(self):
         assert hypervolume(pareto_filter([]), np.zeros(0)) == 0.0
@@ -309,11 +315,6 @@ class TestNhgr:
 
 
 class TestUtilities:
-    def test_linear_utility(self):
-        assert linear_utility((2, 4), (0.5, 0.5)) == pytest.approx(3.0)
-        assert linear_utility((1, 0), (0, 1)) == 0.0
-        assert linear_utility((3, -1, 2), (0.2, 0.3, 0.5)) == pytest.approx(1.3)
-
     def test_eum_constant(self):
         w = np.random.default_rng(0).dirichlet(np.ones(2), size=50)
         assert eum(pareto_filter([(1, 1)]), w) == pytest.approx(1.0)

@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from conftest import MICRO_GAMMA, MICRO_HORIZON, micro_config, micro_context, micro_suite
+from morlgen import agents
 from morlgen.fronts import hypervolume, pareto_filter
 from morlgen.harness import (
     EvalConfig,
     EvalReport,
+    evaluate_generalist,
     evaluate_random_baseline,
     evaluate_reference_self_test,
     make_reference_fronts,
 )
 from morlgen.oracle import pareto_backward_induction
+from morlgen.stats import iqm, optimality_gap
 
 
 def tiny_config(**overrides):
@@ -33,6 +36,11 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return EvalConfig(**base)
+
+
+def trivial_context():
+    """A context whose only goal is one step away: a one-point reference."""
+    return micro_context(["G..", "...", "..."], [1.0, 0.0, 0.0], "Trivial", start=(0, 1))
 
 
 class TestEvalConfig:
@@ -64,6 +72,18 @@ class TestEvalConfig:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             EvalConfig.from_json_obj({"seeds": [0]})
+
+    def test_unknown_key_rejected(self):
+        obj = tiny_config().to_json_obj()
+        obj["train_episode"] = 1
+        with pytest.raises(ValueError, match="train_episode"):
+            EvalConfig.from_json_obj(obj)
+
+    def test_eval_episodes_below_grid_size_rejected(self):
+        # resolution 4 over 3 objectives: 15 grid weights
+        with pytest.raises(ValueError, match="weight-grid"):
+            tiny_config(eval_episodes=14)
+        assert tiny_config(eval_episodes=15).eval_episodes == 15
 
 
 class TestReferenceFronts:
@@ -113,12 +133,21 @@ class TestSelfTest:
         assert report.aggregates["nhgr_optimality_gap"] == pytest.approx(0.0, abs=1e-9)
 
     def test_degenerate_reference_excluded(self):
-        trivial = micro_context(["G..", "...", "..."], [1.0, 0.0, 0.0], "Trivial",
-                                start=(0, 1))
-        cfg = tiny_config(contexts=micro_suite()[:1] + [("Trivial", trivial)])
+        cfg = tiny_config(contexts=micro_suite()[:1] + [("Trivial", trivial_context())])
         report = evaluate_reference_self_test(cfg)
         assert "Trivial" in report.excluded_contexts
         assert all(c["context"] != "Trivial" for c in report.cells)
+
+    def test_every_context_excluded_raises_before_training(self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained an agent")
+
+        monkeypatch.setattr(agents, "train_scalarized_q", no_training)
+        cfg = tiny_config(contexts=[("Trivial", trivial_context())])
+        with pytest.raises(ValueError, match="Trivial"):
+            evaluate_generalist(cfg)
+        with pytest.raises(ValueError, match="Trivial"):
+            evaluate_reference_self_test(cfg)
 
 
 class TestRandomBaseline:
@@ -134,6 +163,36 @@ class TestRandomBaseline:
         a = evaluate_random_baseline(cfg).to_json()
         b = evaluate_random_baseline(cfg).to_json()
         assert a == b
+
+
+class TestAggregates:
+    @staticmethod
+    def aggregates(cells):
+        report = EvalReport("random", cells, {}, [], {}, {})
+        return report.recompute_aggregates()
+
+    @staticmethod
+    def cell(nhgr, eugr, negative=False):
+        return {"nhgr": nhgr, "eugr": eugr, "eugr_denominator_negative": negative}
+
+    def test_negative_eugr_denominator_skipped(self):
+        cells = [
+            self.cell(0.2, 0.5),
+            self.cell(0.4, 0.9),
+            self.cell(0.6, 3.0, negative=True),
+            self.cell(0.8, None),
+        ]
+        agg = self.aggregates(cells)
+        assert agg["eugr_iqm"] == iqm([0.5, 0.9])
+        assert agg["eugr_optimality_gap"] == optimality_gap([0.5, 0.9])
+        assert agg["nhgr_iqm"] == iqm([0.2, 0.4, 0.6, 0.8])
+        assert agg["nhgr_optimality_gap"] == optimality_gap([0.2, 0.4, 0.6, 0.8])
+
+    def test_only_negative_denominators_leave_eugr_undefined(self):
+        agg = self.aggregates([self.cell(0.5, -2.0, negative=True)])
+        assert agg["eugr_iqm"] is None
+        assert agg["eugr_optimality_gap"] is None
+        assert agg["nhgr_iqm"] == 0.5
 
 
 class TestReport:

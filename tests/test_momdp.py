@@ -1,27 +1,21 @@
-"""Tests for the environment contract and the discounted vector rollout."""
+"""Tests for transitions and the discounted vector rollout."""
 
 import numpy as np
 import pytest
 
 from morlgen.lavagrid import FORWARD, NORTH, LavaGridContext, LavaGridEnv, LavaGridLayout
-from morlgen.momdp import (
-    EnvironmentContract,
-    EpisodeOverError,
-    Transition,
-    domain_randomization_sampler,
-    rollout,
-)
+from morlgen.momdp import EpisodeOverError, Transition, rollout
 from morlgen.stats import RandomStream
 
 
-class ScriptedEnv(EnvironmentContract):
+class ScriptedEnv:
     """Emits a fixed reward sequence, terminal after the last entry."""
 
     def __init__(self, rewards):
         self._rewards = [np.asarray(r, dtype=float) for r in rewards]
         self._i = 0
 
-    def reset(self, context, stream=None):
+    def reset(self, context):
         self._i = 0
         return 0
 
@@ -119,14 +113,6 @@ class TestEpisodeOver:
 
 
 class TestDomainRandomization:
-    def test_sampler_delegates(self):
-        class Space:
-            def sample(self, stream):
-                return ("ctx", stream)
-
-        s = RandomStream(0)
-        assert domain_randomization_sampler(Space(), s) == ("ctx", s)
-
     def test_goal_weight_means(self):
         from morlgen.lavagrid import LavaGridSpace
 

@@ -114,14 +114,6 @@ class TestWitnesses:
             for point, wit in zip(dp.front.points, dp.witnesses):
                 assert np.allclose(replay_witness(c, wit, 0.9, 7), point, atol=1e-12)
 
-    def test_witness_of_lookup(self):
-        c = random_micro_context(1)
-        dp = pareto_backward_induction(c, 0.9, 6)
-        wit = dp.witness_of(dp.front.points[0])
-        assert wit == dp.witnesses[0]
-        with pytest.raises(KeyError):
-            dp.witness_of(np.array([1e9, 1e9, 1e9]))
-
     def test_empty_witness_is_zero_return(self):
         c = random_micro_context(2)
         assert np.array_equal(replay_witness(c, "", 0.9, 5), np.zeros(3))
