@@ -208,7 +208,7 @@ def cmd_report(args) -> int:
         cells = [c for c in report.cells if c["context"] == name]
 
         def mean_of(key):
-            vals = [c[key] for c in cells if c[key] is not None]
+            vals = harness.averageable_scores(cells, key)
             return float(np.mean(vals)) if vals else None
 
         def fmt(x, width, digits=3):

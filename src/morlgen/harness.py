@@ -74,6 +74,8 @@ class EvalConfig:
             raise ValueError("episode and weight-sample counts must be positive")
         if self.train_episodes < 1:
             raise ValueError("train_episodes must be positive")
+        if self.oracle_cap is not None and self.oracle_cap < 1:
+            raise ValueError(f"oracle_cap must be at least 1, got {self.oracle_cap}")
         grid_size = len(self.weight_grid())
         if self.eval_episodes < grid_size:
             raise ValueError(
@@ -241,20 +243,26 @@ class EvalReport:
         return _aggregate(self.cells)
 
 
-def _aggregate(cells: list[dict]) -> dict[str, float]:
-    """IQM and optimality gap per ratio metric over the cells that define it.
+def averageable_scores(cells: list[dict], metric: str) -> list[float]:
+    """The cells' values of `metric` that may be averaged together.
 
-    EUGR skips cells whose reference EUM is negative: there the ratio's
-    order is inverted, so it cannot be averaged with the others.
+    Undefined values are left out. EUGR also skips cells whose reference
+    EUM is negative: there the ratio's order is inverted, so it cannot be
+    averaged with the others.
     """
+    return [
+        c[metric]
+        for c in cells
+        if c[metric] is not None
+        and not (metric == "eugr" and c["eugr_denominator_negative"])
+    ]
+
+
+def _aggregate(cells: list[dict]) -> dict[str, float]:
+    """IQM and optimality gap per ratio metric over its averageable scores."""
     out: dict[str, float] = {}
     for metric in ("nhgr", "eugr"):
-        scores = [
-            c[metric]
-            for c in cells
-            if c[metric] is not None
-            and not (metric == "eugr" and c["eugr_denominator_negative"])
-        ]
+        scores = averageable_scores(cells, metric)
         if scores:
             out[f"{metric}_iqm"] = iqm(scores)
             out[f"{metric}_optimality_gap"] = optimality_gap(scores)

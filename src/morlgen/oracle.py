@@ -7,11 +7,13 @@ the nondominated union, over actions, of the step reward plus the
 discounted successor set. Every front vector carries a witness action
 sequence, so fronts are replay-verifiable against the live environment.
 
-An independent brute-force enumerator over all action sequences provides
-the cross-check oracle for small horizons. When the per-state set size
-exceeds a cap, sets are thinned by epsilon-dominance pruning with the
-smallest epsilon that respects the cap, and the result is flagged
-approximate.
+The backup runs one horizon layer at a time on numpy arrays compiled
+from the context (next state, reward vector and terminal flag of every
+(state, action)). An independent brute-force enumerator over all action
+sequences provides the cross-check oracle for small horizons. When the
+per-state set size exceeds a cap, sets are thinned by epsilon-dominance
+pruning with the smallest epsilon that respects the cap, and the result
+is flagged approximate.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from .lavagrid import (
     GOAL_REWARD,
     LAVA,
     NUM_ACTIONS,
+    TURN_LEFT,
+    TURN_RIGHT,
     LavaGridContext,
     LavaGridEnv,
 )
@@ -49,71 +53,73 @@ class OracleFront:
 
 
 def _build_tables(context: LavaGridContext):
-    """Per-state transition and reward tables over (x, y, dir, mask)."""
+    """Per-state transition and reward tables over (x, y, dir, mask).
+
+    State index ((y * width + x) * 4 + dir) * (full_mask + 1) + mask.
+    """
     layout = context.layout
     w, h = layout.width, layout.height
     goals = layout.goal_positions()
-    goal_bits = {pos: 1 << GOAL_CODES.index(code) for code, pos in goals.items()}
-    goal_weight = {
-        pos: GOAL_REWARD * float(context.weights[GOAL_CODES.index(code)])
-        for code, pos in goals.items()
+    full_mask = sum(1 << GOAL_CODES.index(code) for code in goals)
+    n_masks = full_mask + 1
+    cell_bit = np.zeros((h, w), dtype=np.int64)  # goal bit of each cell, 0 if none
+    cell_goal = np.zeros((h, w))  # reward for collecting that goal
+    for code, (gx, gy) in goals.items():
+        i = GOAL_CODES.index(code)
+        cell_bit[gy, gx] = 1 << i
+        cell_goal[gy, gx] = GOAL_REWARD * float(context.weights[i])
+
+    y, x, d, mask = np.meshgrid(
+        np.arange(h), np.arange(w), np.arange(4), np.arange(n_masks), indexing="ij"
+    )
+    dx, dy = np.array(DIR_DELTAS).T
+    fx, fy = x + dx[d], y + dy[d]
+    inside = (fx >= 0) & (fx < w) & (fy >= 0) & (fy < h)
+    moves = {  # action -> (nx, ny, nd)
+        TURN_LEFT: (x, y, (d - 1) % 4),
+        TURN_RIGHT: (x, y, (d + 1) % 4),
+        FORWARD: (np.where(inside, fx, x), np.where(inside, fy, y), d),
     }
-    full_mask = sum(goal_bits.values())
-
-    def encode(x, y, d, mask):
-        return ((y * w + x) * 4 + d) * (full_mask + 1) + mask
-
-    n_states = w * h * 4 * (full_mask + 1)
+    n_states = w * h * 4 * n_masks
     next_state = np.empty((n_states, NUM_ACTIONS), dtype=np.int64)
     rewards = np.zeros((n_states, NUM_ACTIONS, 3))
-    tiles = layout.tiles
-    for y in range(h):
-        for x in range(w):
-            for d in range(4):
-                for mask in range(full_mask + 1):
-                    s = encode(x, y, d, mask)
-                    for a in range(NUM_ACTIONS):
-                        if a == FORWARD:
-                            dx, dy = DIR_DELTAS[d]
-                            nx, ny = x + dx, y + dy
-                            if not (0 <= nx < w and 0 <= ny < h):
-                                nx, ny = x, y
-                            nd = d
-                        else:
-                            nx, ny, nd = x, y, (d - 1) % 4 if a == 0 else (d + 1) % 4
-                        nmask = mask
-                        r = [0.0, 0.0, -1.0]
-                        bit = goal_bits.get((nx, ny), 0)
-                        if bit and not mask & bit:
-                            nmask = mask | bit
-                            r[0] = goal_weight[(nx, ny)]
-                        if tiles[ny, nx] == LAVA:
-                            r[1] = -1.0
-                        next_state[s, a] = encode(nx, ny, nd, nmask)
-                        rewards[s, a] = r
+    for a, (nx, ny, nd) in moves.items():
+        bit = cell_bit[ny, nx]
+        fresh = (mask & bit) != bit  # an uncollected goal lies on the new cell
+        next_state[:, a] = (((ny * w + nx) * 4 + nd) * n_masks + (mask | bit)).ravel()
+        rewards[:, a, 0] = np.where(fresh, cell_goal[ny, nx], 0.0).ravel()
+        rewards[:, a, 1] = np.where(layout.tiles[ny, nx] == LAVA, -1.0, 0.0).ravel()
+        rewards[:, a, 2] = -1.0
     sx, sy = layout.agent_start
-    start = encode(sx, sy, layout.agent_dir, 0)
-    terminal = np.zeros(n_states, dtype=bool)
-    for s in range(n_states):
-        terminal[s] = s % (full_mask + 1) == full_mask
+    start = ((sy * w + sx) * 4 + layout.agent_dir) * n_masks
+    terminal = np.arange(n_states) % n_masks == full_mask
     return start, next_state, rewards, terminal
 
 
-def _eps_prune(entries: list, eps: float) -> list:
-    """Keep a subset such that every dropped vector is eps-dominated."""
-    kept: list = []
-    for vec, wit in entries:
-        if not any(all(kv >= v - eps for kv, v in zip(k, vec)) for k, _ in kept):
-            kept.append((vec, wit))
+def _eps_prune(entries: np.ndarray, eps: float) -> list[int]:
+    """Indices of a subset such that every dropped vector is eps-dominated.
+
+    Scans in order and keeps a vector unless an already-kept one is
+    >= it minus eps in every objective.
+    """
+    low = entries - eps
+    covers = np.ones((len(entries), len(entries)), dtype=bool)  # [j, i]: j covers i
+    for k in range(entries.shape[1]):
+        covers &= entries[:, None, k] >= low[None, :, k]
+    covered = np.zeros(len(entries), dtype=bool)
+    kept = []
+    for i in range(len(entries)):
+        if not covered[i]:
+            kept.append(i)
+            covered |= covers[i]
     return kept
 
 
-def _prune_to_cap(entries: list, cap: int) -> tuple[list, float]:
+def _prune_to_cap(entries: np.ndarray, cap: int) -> tuple[list[int], float]:
     """Smallest-epsilon pruning (binary search) that respects the cap."""
     if len(entries) <= cap:
-        return entries, 0.0
-    arr = np.array([e[0] for e in entries])
-    hi = float((arr.max(axis=0) - arr.min(axis=0)).max())
+        return list(range(len(entries))), 0.0
+    hi = float((entries.max(axis=0) - entries.min(axis=0)).max())
     lo = 0.0
     best = None
     for _ in range(40):
@@ -128,19 +134,30 @@ def _prune_to_cap(entries: list, cap: int) -> tuple[list, float]:
     return best
 
 
-def _nondominated_entries(entries: list) -> list:
-    """Nondominated, deduplicated (vector, witness) entries, canonical order."""
-    entries = sorted(entries, key=lambda e: e[0], reverse=True)
-    kept: list = []
-    for vec, wit in entries:
-        dominated = False
-        for kv, _ in kept:
-            if all(a >= b for a, b in zip(kv, vec)):
-                dominated = True  # covers exact duplicates (kept first wins)
-                break
-        if not dominated:
-            kept.append((vec, wit))
-    return kept
+def _nondominated_entries(entries: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Nondominated, deduplicated rows of each group, in canonical order.
+
+    Returns row indices of `entries`, ordered by group and, within a group,
+    lexicographically descending with ties in row order. A row is dropped
+    when an earlier row of its group is >= it in every objective, so the
+    first of exact duplicates wins. Weak dominance is transitive, so this
+    keeps what a scan against the already-kept rows keeps.
+    """
+    n = len(entries)
+    order = np.lexsort(
+        (np.arange(n), -entries[:, 2], -entries[:, 1], -entries[:, 0], groups)
+    )
+    vecs, grp = entries[order], groups[order]
+    rank = np.arange(n) - np.searchsorted(grp, grp)  # position within its group
+    dominated = np.zeros(n, dtype=bool)
+    rows = np.flatnonzero(rank >= 1)
+    k = 1
+    while rows.size:  # compare each row with the row k places back in its group
+        hit = (vecs[rows - k] >= vecs[rows]).all(axis=1)
+        dominated[rows[hit]] = True
+        k += 1
+        rows = rows[rank[rows] >= k]
+    return order[~dominated]
 
 
 def pareto_backward_induction(
@@ -154,12 +171,16 @@ def pareto_backward_induction(
     Computes, for t = horizon down to 0, the nondominated set of returns
     achievable from each reachable state with horizon - t steps remaining;
     terminal states (all goals collected) contribute the zero vector.
-    Exact whenever the per-state cap never binds.
+    Each layer is backed up at once: the sets of all its states live in
+    one array, and the candidates R + gamma * V of every (state, action)
+    are filtered together. Exact whenever the per-state cap never binds.
     """
     if horizon < 1:
         raise ValueError("horizon must be positive")
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must be in [0, 1)")
+    if cap is not None and cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     context.validate(require_all_goals=False)
     start, next_state, rewards, terminal = _build_tables(context)
 
@@ -170,43 +191,66 @@ def pareto_backward_induction(
         live = prev[~terminal[prev]]
         reach.append(np.unique(next_state[live].ravel()) if live.size else live)
 
-    zero = (0.0, 0.0, 0.0)
+    # The sets of layer t: state reach[t][i] owns rows first[i]:first[i] +
+    # count[i] of `vectors`. Row j's witness starts with action
+    # node_action[t][nodes[j]] and goes on at node node_parent[t][nodes[j]]
+    # of layer t + 1; node -1 ends a witness.
+    states = reach[horizon]
+    count = np.ones(len(states), dtype=np.int64)
+    vectors = np.zeros((len(states), 3))
+    nodes = np.full(len(states), -1, dtype=np.int32)
+    node_action = [None] * horizon
+    node_parent = [None] * horizon
     max_eps = 0.0
-    # Witnesses are reverse-linked (action, tail) chains shared across layers.
-    layer: dict[int, list] = {int(s): [(zero, None)] for s in reach[horizon]}
     for t in range(horizon - 1, -1, -1):
-        new_layer: dict[int, list] = {}
-        for s in map(int, reach[t]):
-            if terminal[s]:
-                new_layer[s] = [(zero, None)]
-                continue
-            candidates = []
-            for a in range(NUM_ACTIONS):
-                ns = int(next_state[s, a])
-                r = rewards[s, a]
-                for vec, wit in layer[ns]:
-                    cand = (
-                        r[0] + gamma * vec[0],
-                        r[1] + gamma * vec[1],
-                        r[2] + gamma * vec[2],
-                    )
-                    candidates.append((cand, (a, wit)))
-            kept = _nondominated_entries(candidates)
-            if cap is not None and len(kept) > cap:
-                kept, eps = _prune_to_cap(kept, cap)
-                max_eps = max(max_eps, eps)
-            new_layer[s] = kept
-        layer = new_layer
+        first = np.cumsum(count) - count
+        layer_states = reach[t]
+        is_live = ~terminal[layer_states]
+        live = layer_states[is_live]
+        # Candidates of every live (state, action) pair, pairs in order.
+        succ = np.searchsorted(states, next_state[live]).ravel()
+        sizes = count[succ]
+        pair = np.repeat(np.arange(len(succ)), sizes)
+        offset = np.arange(len(pair)) - (np.cumsum(sizes) - sizes)[pair]
+        src = first[succ][pair] + offset
+        cand = rewards[live].reshape(-1, 3)[pair] + gamma * vectors[src]
+        group = pair // NUM_ACTIONS
+        kept = _nondominated_entries(cand, group)
+        if cap is not None:
+            kept_sizes = np.bincount(group[kept], minlength=len(live))
+            over = np.flatnonzero(kept_sizes > cap)
+            if over.size:
+                starts = np.cumsum(kept_sizes) - kept_sizes
+                keep = np.repeat(kept_sizes <= cap, kept_sizes)
+                for g in over:
+                    lo = starts[g]
+                    sub, eps = _prune_to_cap(cand[kept[lo:lo + kept_sizes[g]]], cap)
+                    keep[lo + np.array(sub)] = True
+                    max_eps = max(max_eps, eps)
+                kept = kept[keep]
+        node_action[t] = (pair[kept] % NUM_ACTIONS).astype(np.int8)
+        node_parent[t] = nodes[src[kept]]
+        # The new layer's rows, ordered by state: kept candidates, then a
+        # zero vector for each terminal state, merged by position.
+        term_pos = np.flatnonzero(~is_live)
+        owner = np.concatenate([np.flatnonzero(is_live)[group[kept]], term_pos])
+        merge = np.argsort(owner, kind="stable")
+        vectors = np.concatenate([cand[kept], np.zeros((len(term_pos), 3))])[merge]
+        nodes = np.concatenate(
+            [np.arange(len(kept)), np.full(len(term_pos), -1)]
+        ).astype(np.int32)[merge]
+        count = np.bincount(owner, minlength=len(layer_states))
+        states = layer_states
 
-    entries = layer[start]
-    vectors = np.array([e[0] for e in entries])
     witnesses = []
-    for _, node in entries:
-        actions = []
-        while node is not None:
-            a, node = node
-            actions.append(ACTION_CHARS[a])
-        witnesses.append("".join(actions))
+    for node in nodes:
+        chain = []
+        t = 0
+        while node >= 0:
+            chain.append(ACTION_CHARS[node_action[t][node]])
+            node = node_parent[t][node]
+            t += 1
+        witnesses.append("".join(chain))
     front = pareto_filter(vectors, tags=witnesses)
     return OracleFront(
         front=front,

@@ -78,6 +78,14 @@ class TestOracleCommand:
         assert sidecar["exact"] is False
         assert sidecar["epsilon"] > 0
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_cap_below_one_exit_2(self, tmp_path, capsys, cap):
+        out = tmp_path / "out"
+        assert main(["oracle", "Maze", "--horizon", "6", "--cap", cap,
+                     "--out", str(out)]) == EXIT_INPUT_ERROR
+        assert "cap" in capsys.readouterr().err
+        assert not (out / "front.csv").exists()
+
 
 class TestConfigErrors:
     def assert_train_and_eval_exit_2(self, tmp_path, cfg):
@@ -93,6 +101,10 @@ class TestConfigErrors:
     def test_eval_episodes_below_grid_size_exit_2(self, tmp_path):
         # the micro config's resolution 4 gives 15 grid weights
         self.assert_train_and_eval_exit_2(tmp_path, write_config(tmp_path, eval_episodes=14))
+
+    def test_oracle_cap_below_one_exit_2(self, tmp_path, capsys):
+        self.assert_train_and_eval_exit_2(tmp_path, write_config(tmp_path, oracle_cap=0))
+        assert "oracle_cap" in capsys.readouterr().err
 
     def test_every_context_excluded_exit_2(self, tmp_path, capsys):
         trivial = micro_context(["G..", "...", "..."], [1.0, 0.0, 0.0], "Trivial",
@@ -202,8 +214,8 @@ class TestCliMatchesHarness:
 
 
 class TestReportCommand:
-    def make_report(self, tmp_path):
-        cfg = write_config(tmp_path)
+    def make_report(self, tmp_path, **overrides):
+        cfg = write_config(tmp_path, **overrides)
         out = tmp_path / "o"
         main(["eval", "--config", str(cfg), "--self-test", "--out", str(out)])
         return out / "report.json"
@@ -246,3 +258,16 @@ class TestReportCommand:
         capsys.readouterr()
         assert main(["report", str(path)]) == EXIT_OK
         assert "EUGR: IQM=1.000 gap=0.000" in capsys.readouterr().out
+
+    def test_negative_eugr_denominator_left_out_of_context_row(self, tmp_path, capsys):
+        path = self.make_report(tmp_path, seeds=[0, 1])
+        obj = json.loads(path.read_text())
+        flagged = obj["cells"][0]
+        flagged["eugr"] = -5.0
+        flagged["eugr_denominator_negative"] = True
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["report", str(path)]) == EXIT_OK
+        rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()}
+        # the context's other seed is a self-test cell with EUGR 1
+        assert rows[flagged["context"]][4] == "1.000"

@@ -1,0 +1,141 @@
+"""The layer-vectorized oracle against its frozen per-state reference.
+
+`oracle_reference.py` holds the oracle's original dynamic program. The
+tests here require byte-identical outputs from the two (front points,
+witnesses, `exact`, `epsilon`), the same kept rows from the vectorized
+filter and pruning as from the reference's scans, and compiled tables
+that agree with `LavaGridEnv.step` for every (state, action).
+"""
+
+import numpy as np
+import pytest
+
+import oracle_reference as ref
+from conftest import MICRO_GAMMA, MICRO_HORIZON, micro_suite
+from morlgen.lavagrid import (
+    GOAL_CODES,
+    NUM_ACTIONS,
+    LavaGridContext,
+    LavaGridEnv,
+    builtin_eval_contexts,
+    random_layout,
+)
+from morlgen.oracle import (
+    _build_tables,
+    _nondominated_entries,
+    _prune_to_cap,
+    pareto_backward_induction,
+)
+from morlgen.stats import RandomStream, sample_simplex
+
+CAPS = (None, 2, 4, 8)
+
+
+def random_context(seed, size):
+    rng = RandomStream(seed, (31,)).rng()
+    layout = random_layout(rng, (0, size + 2), width=size, height=size)
+    return LavaGridContext(layout, sample_simplex(rng, 3))
+
+
+def assert_identical(new, old):
+    assert new.front.points.shape == old.front.points.shape
+    assert new.front.points.tobytes() == old.front.points.tobytes()
+    assert new.witnesses == old.witnesses
+    assert tuple(new.front.tags) == tuple(old.front.tags)
+    assert new.exact == old.exact
+    assert new.epsilon == old.epsilon
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_micro_contexts_match_reference(cap):
+    for name, ctx in micro_suite():
+        new = pareto_backward_induction(ctx, MICRO_GAMMA, MICRO_HORIZON, cap)
+        old = ref.reference_backward_induction(ctx, MICRO_GAMMA, MICRO_HORIZON, cap)
+        assert_identical(new, old)
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_random_layouts_match_reference(cap):
+    approximate = 0
+    for seed in range(8):
+        ctx = random_context(seed, size=5 + seed % 2)
+        for gamma in (0.9, 0.995):
+            new = pareto_backward_induction(ctx, gamma, 12, cap)
+            old = ref.reference_backward_induction(ctx, gamma, 12, cap)
+            assert_identical(new, old)
+            approximate += not new.exact
+    if cap is not None and cap <= 4:
+        assert approximate > 0  # the pruning path ran
+
+
+def lattice_entries(rng, n, span):
+    """Integer-lattice vectors: many ties, duplicates and dominated rows."""
+    return rng.integers(-span, span + 1, size=(n, 3)).astype(float)
+
+
+def test_filter_matches_reference_scan():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n_groups = int(rng.integers(1, 6))
+        groups = np.sort(rng.integers(0, n_groups, size=int(rng.integers(0, 60))))
+        entries = lattice_entries(rng, len(groups), int(rng.integers(1, 4)))
+        kept = _nondominated_entries(entries, groups).tolist()
+        expected = []
+        for g in range(n_groups):
+            rows = np.flatnonzero(groups == g)
+            scan = ref._nondominated_entries([(tuple(entries[i]), int(i)) for i in rows])
+            expected.extend(i for _, i in scan)
+        assert kept == expected
+
+
+def test_prune_matches_reference_bisection():
+    rng = np.random.default_rng(6)
+    for _ in range(100):
+        entries = lattice_entries(rng, int(rng.integers(2, 40)), int(rng.integers(1, 6)))
+        scan = ref._nondominated_entries([(tuple(v), i) for i, v in enumerate(entries)])
+        front = np.array([v for v, _ in scan])
+        cap = int(rng.integers(1, len(front) + 1))
+        kept, eps = _prune_to_cap(front, cap)
+        entries = [(tuple(v), i) for i, v in enumerate(front)]
+        expected, expected_eps = ref._prune_to_cap(entries, cap)
+        assert kept == [i for _, i in expected]
+        assert eps == expected_eps
+        assert len(kept) <= cap
+
+
+def table_contexts():
+    contexts = [ctx for _, ctx in builtin_eval_contexts() + micro_suite()]
+    contexts += [random_context(100 + seed, size=7) for seed in range(4)]
+    return contexts
+
+
+@pytest.mark.parametrize("ctx", table_contexts(), ids=lambda c: c.name or "random")
+def test_tables_match_environment(ctx):
+    start, next_state, rewards, terminal = _build_tables(ctx)
+    layout = ctx.layout
+    full_mask = sum(1 << GOAL_CODES.index(code) for code in layout.goal_positions())
+    n_masks = full_mask + 1
+
+    def encode(x, y, d, mask):
+        return ((y * layout.width + x) * 4 + d) * n_masks + mask
+
+    sx, sy = layout.agent_start
+    assert start == encode(sx, sy, layout.agent_dir, 0)
+    assert next_state.shape == (layout.width * layout.height * 4 * n_masks, NUM_ACTIONS)
+    env = LavaGridEnv(max_steps=2)
+    env.reset(ctx)
+    for y in range(layout.height):
+        for x in range(layout.width):
+            for d in range(4):
+                for mask in range(n_masks):
+                    if mask & ~full_mask:
+                        continue  # a goal the layout lacks: never reached
+                    s = encode(x, y, d, mask)
+                    assert terminal[s] == (mask == full_mask)
+                    for a in range(NUM_ACTIONS):
+                        env.restore_state((x, y, d, mask, 0, False))
+                        tr = env.step(a)
+                        nx, ny, nd, nmask = env.clone_state()[:4]
+                        assert next_state[s, a] == encode(nx, ny, nd, nmask)
+                        assert rewards[s, a].tobytes() == tr.reward.tobytes()
+                        assert terminal[next_state[s, a]] == tr.terminal
