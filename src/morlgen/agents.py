@@ -7,7 +7,9 @@ own Q-table over the dynamic episode state (position, orientation,
 collected-goals mask), and rewards are scalarized with that weight during
 training. Greedy evaluation recovers the underlying vector returns, whose
 Pareto filter is the agent's front. A uniform-random-policy floor
-baseline rounds out the module.
+baseline rounds out the module. Training and both kinds of rollout step
+the compiled context model (`lavagrid.compile_context`), not the
+environment.
 """
 
 from __future__ import annotations
@@ -19,8 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fronts import ParetoFront, pareto_filter
-from .lavagrid import DEFAULT_MAX_STEPS, LavaGridContext, LavaGridEnv, NUM_ACTIONS
-from .momdp import rollout
+from .lavagrid import (
+    DEFAULT_MAX_STEPS,
+    NUM_ACTIONS,
+    CompiledContext,
+    LavaGridContext,
+    compile_context,
+)
 from .stats import GENERATOR_ID, _rng_of
 
 SNAPSHOT_VERSION = 1
@@ -56,13 +63,6 @@ class TabularQ:
     tables: dict[int, dict[tuple, np.ndarray]] = field(default_factory=dict)
     episodes_trained: int = 0
     metadata: dict = field(default_factory=dict)
-
-    def values(self, widx: int, digest: tuple) -> np.ndarray:
-        table = self.tables.setdefault(widx, {})
-        q = table.get(digest)
-        if q is None:
-            q = table[digest] = np.zeros(self.action_count)
-        return q
 
     def greedy_action(self, widx: int, digest: tuple) -> int:
         table = self.tables.get(widx, {})
@@ -142,6 +142,14 @@ def train_scalarized_q(
     context is drawn for every training episode). Each episode also draws
     a uniform weight index from the grid and updates that weight's table
     with Q <- Q + alpha * (w.r + gamma * max_a' Q' - Q).
+
+    Episodes step the compiled context (`compile_context`) on integer
+    pose and mask ids. Each weight's Q-values live in a list indexed by
+    state id pose << 3 | mask (a mask has one bit per goal colour) until
+    training ends; then the visited states move into `TabularQ.tables`
+    under their (x, y, dir, mask) keys. Every w.r is the float of a numpy
+    dot product, as for the environment's reward vector, cached per
+    weight and reward.
     """
     if episodes < 1:
         raise ValueError("episodes must be at least 1")
@@ -150,7 +158,8 @@ def train_scalarized_q(
         raise ValueError("weight grid must be nonempty")
     rng = _rng_of(stream)
     max_steps = DEFAULT_MAX_STEPS if max_steps is None else max_steps
-    env = LavaGridEnv(max_steps=max_steps)
+    if max_steps < 1:
+        raise ValueError("max_steps must be positive")
     fixed = isinstance(context_source, LavaGridContext)
     q = TabularQ(
         weight_grid=grid,
@@ -165,32 +174,117 @@ def train_scalarized_q(
             "rng": GENERATOR_ID,
         },
     )
+    # w.r of a step onto a plain cell and onto lava, per weight
+    plain_r = [_scalarized(w, 0.0, 0.0) for w in grid]
+    lava_r = [_scalarized(w, 0.0, -1.0) for w in grid]
+    store: list[list | None] = [None] * len(grid)  # per weight: Q-values by state id
+    rand, randint = rng.random, rng.integers
+    size = None
     for ep in range(episodes):
-        ctx = context_source if fixed else context_source.sample(rng)
-        widx = int(rng.integers(len(grid)))
-        w = grid[widx]
+        if ep == 0 or not fixed:  # a fixed context is validated and compiled once
+            model = compile_context(context_source if fixed else context_source.sample(rng))
+            if size is None:
+                size = (model.width, model.height)
+                moves = model.next_pose.tolist()
+            elif (model.width, model.height) != size:
+                raise ValueError("sampled contexts must share one grid size")
+            cell_bit, cell_goal, cell_lava = _cells(model)
+            full_mask = model.full_mask
+            goal_r: dict[tuple[int, int], float] = {}  # (weight, cell) -> w.r
+        widx = int(randint(len(grid)))
         epsilon = _epsilon(ep, episodes, eps_start, eps_end, eps_anneal_frac)
-        obs = env.reset(ctx)
-        digest = obs.signature()
+        table = store[widx]
+        if table is None:
+            table = store[widx] = [None] * (len(moves) << 3)
+        r_plain, r_lava = plain_r[widx], lava_r[widx]
+        pose, mask = model.start_pose, 0
+        qv = table[pose << 3]
+        if qv is None:
+            qv = table[pose << 3] = [0.0, 0.0, 0.0]
         for _ in range(max_steps):
-            qvals = q.values(widx, digest)
-            if rng.random() < epsilon:
-                action = int(rng.integers(q.action_count))
+            if rand() < epsilon:
+                a = int(randint(NUM_ACTIONS))
+            else:  # argmax, ties to the lowest action
+                q0, q1, q2 = qv
+                a = 0 if q0 >= q1 and q0 >= q2 else (1 if q1 >= q2 else 2)
+            pose = moves[pose][a]
+            cell = pose >> 2
+            bit = cell_bit[cell] & ~mask
+            if bit:
+                mask |= bit
+                r = goal_r.get((widx, cell))
+                if r is None:
+                    r = goal_r[widx, cell] = _scalarized(grid[widx], cell_goal[cell], 0.0)
             else:
-                action = int(np.argmax(qvals))
-            tr = env.step(action)
-            scalar = float(w @ tr.reward)
-            next_digest = tr.next_observation.signature()
-            if tr.terminal:
-                target = scalar
-            else:
-                target = scalar + gamma * float(q.values(widx, next_digest).max())
-            qvals[action] += alpha * (target - qvals[action])
-            digest = next_digest
-            if tr.done:
+                r = r_lava if cell_lava[cell] else r_plain
+            if mask == full_mask:  # terminal: no successor entry
+                qv[a] += alpha * (r - qv[a])
                 break
-        q.episodes_trained += 1
+            s = pose << 3 | mask
+            nq = table[s]
+            if nq is None:
+                nq = table[s] = [0.0, 0.0, 0.0]
+            qv[a] += alpha * (r + gamma * max(nq) - qv[a])
+            qv = nq
+    width = size[0]
+    for widx, table in enumerate(store):
+        if table is not None:
+            q.tables[widx] = {
+                _state_key(s >> 3, s & 7, width): np.array(vals)
+                for s, vals in enumerate(table)
+                if vals is not None
+            }
+    q.episodes_trained = int(episodes)
     return q
+
+
+def _scalarized(w: np.ndarray, goal: float, lava: float) -> float:
+    """w.r for the reward vector (goal, lava, -1), as a numpy dot product."""
+    return float(w @ np.array([goal, lava, -1.0]))
+
+
+def _cells(model: CompiledContext) -> tuple[list, list, list]:
+    """The per-cell goal bit, goal reward and lava cost tables as lists."""
+    return model.cell_bit.tolist(), model.cell_goal.tolist(), model.cell_lava.tolist()
+
+
+def _state_key(pose: int, mask: int, width: int) -> tuple[int, int, int, int]:
+    """The (x, y, dir, mask) Q-table key of a pose id and collected mask."""
+    y, x = divmod(pose >> 2, width)
+    return (x, y, pose & 3, mask)
+
+
+def _rollout(model: CompiledContext, choose, gamma: float, max_steps: int) -> np.ndarray:
+    """Discounted vector return of one episode on a compiled context.
+
+    `choose(pose, mask)` picks each action. The return accumulates
+    ret += disc * r per objective, as `momdp.rollout` does on the
+    environment, so both give the same floats.
+    """
+    moves = model.next_pose.tolist()
+    cell_bit, cell_goal, cell_lava = _cells(model)
+    pose, mask = model.start_pose, 0
+    goal = lava = time = 0.0
+    disc = 1.0
+    for _ in range(max_steps):
+        pose = moves[pose][choose(pose, mask)]
+        cell = pose >> 2
+        bit = cell_bit[cell] & ~mask
+        mask |= bit
+        goal += disc * (cell_goal[cell] if bit else 0.0)
+        lava += disc * cell_lava[cell]
+        time += disc * -1.0
+        disc *= gamma
+        if mask == model.full_mask:
+            break
+    return np.array([goal, lava, time])
+
+
+def _check_rollout(gamma: float, max_steps: int) -> None:
+    if max_steps < 1:
+        raise ValueError("max_steps must be positive")
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError("gamma must be in [0, 1)")
 
 
 def greedy_value_vector(
@@ -202,12 +296,13 @@ def greedy_value_vector(
 ) -> np.ndarray:
     """Discounted vector return of the greedy policy for one grid weight."""
     max_steps = DEFAULT_MAX_STEPS if max_steps is None else max_steps
-    env = LavaGridEnv(max_steps=max_steps)
+    _check_rollout(gamma, max_steps)
+    model = compile_context(context)
 
-    def policy(obs) -> int:
-        return q.greedy_action(widx, obs.signature())
+    def choose(pose: int, mask: int) -> int:
+        return q.greedy_action(widx, _state_key(pose, mask, model.width))
 
-    return rollout(env, policy, context, gamma, max_steps=max_steps)
+    return _rollout(model, choose, gamma, max_steps)
 
 
 def build_front(
@@ -240,9 +335,10 @@ def random_policy_front(
         raise ValueError("n must be at least 1")
     rng = _rng_of(stream)
     max_steps = DEFAULT_MAX_STEPS if max_steps is None else max_steps
-    env = LavaGridEnv(max_steps=max_steps)
-    vectors = []
-    for _ in range(n):
-        policy = lambda _obs: int(rng.integers(NUM_ACTIONS))  # noqa: E731
-        vectors.append(rollout(env, policy, context, gamma, max_steps=max_steps))
-    return pareto_filter(np.array(vectors))
+    _check_rollout(gamma, max_steps)
+    model = compile_context(context)
+
+    def choose(_pose: int, _mask: int) -> int:
+        return int(rng.integers(NUM_ACTIONS))
+
+    return pareto_filter(np.array([_rollout(model, choose, gamma, max_steps) for _ in range(n)]))

@@ -14,6 +14,7 @@ standard domain is 11x11 with all three goals present.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,13 +70,20 @@ class LavaGridLayout:
 
     def goal_positions(self) -> dict[int, tuple[int, int]]:
         """Mapping goal code -> (x, y) for goals present in the layout."""
+        flat = self.tiles.ravel()
+        cells = np.flatnonzero((flat >= GOAL_GREEN) & (flat <= GOAL_BLUE))
+        found: dict[int, list[int]] = {}
+        for cell, code in zip(cells.tolist(), flat[cells].tolist()):
+            found.setdefault(code, []).append(cell)
         out = {}
         for code in GOAL_CODES:
-            ys, xs = np.where(self.tiles == code)
-            if len(xs) == 1:
-                out[code] = (int(xs[0]), int(ys[0]))
-            elif len(xs) > 1:
-                raise ValueError(f"goal {TILE_CHARS[code]} appears {len(xs)} times")
+            where = found.get(code)
+            if where is None:
+                continue
+            if len(where) > 1:
+                raise ValueError(f"goal {TILE_CHARS[code]} appears {len(where)} times")
+            y, x = divmod(where[0], self.width)
+            out[code] = (x, y)
         return out
 
     def validate(self, require_all_goals: bool = True) -> None:
@@ -85,7 +93,7 @@ class LavaGridLayout:
         h, w = self.tiles.shape
         if h < 1 or w < 1:
             raise ValueError("grid must be nonempty")
-        if not np.isin(self.tiles, [EMPTY, LAVA, *GOAL_CODES]).all():
+        if self.tiles.min() < EMPTY or self.tiles.max() > GOAL_BLUE:
             raise ValueError("tiles contain unknown cell codes")
         goals = self.goal_positions()  # raises on duplicated colors
         if require_all_goals and len(goals) != len(GOAL_CODES):
@@ -207,6 +215,15 @@ class LavaGridEnv:
         self._full_mask = sum(
             1 << i for i, code in enumerate(GOAL_CODES) if code in self._goals
         )
+        # remaining goal weights per collected mask, shared by every observation
+        self._remaining = []
+        for mask in range(self._full_mask + 1):
+            remaining = np.array(context.weights, dtype=float)
+            for i in range(3):
+                if mask & (1 << i):
+                    remaining[i] = 0.0
+            remaining.flags.writeable = False
+            self._remaining.append(remaining)
         self._x, self._y = context.layout.agent_start
         self._dir = context.layout.agent_dir
         self._mask = 0
@@ -215,16 +232,12 @@ class LavaGridEnv:
         return self._obs()
 
     def _obs(self) -> LavaGridObs:
-        remaining = np.array(self._ctx.weights, dtype=float)
-        for i in range(3):
-            if self._mask & (1 << i):
-                remaining[i] = 0.0
         return LavaGridObs(
             tiles=self._ctx.layout.tiles,
             x=self._x,
             y=self._y,
             direction=self._dir,
-            remaining_weights=remaining,
+            remaining_weights=self._remaining[self._mask],
             collected_mask=self._mask,
         )
 
@@ -272,6 +285,83 @@ class LavaGridEnv:
 
     def restore_state(self, state: tuple) -> None:
         self._x, self._y, self._dir, self._mask, self._steps, self._done = state
+
+
+# -- compiled model ---------------------------------------------------------
+#
+# The same dynamics as `LavaGridEnv`, as flat tables. A pose is one
+# (x, y, direction) with id (y * width + x) * 4 + direction, so a pose's
+# cell is pose >> 2. The pose geometry depends only on the grid size; the
+# goal and lava tables depend on the context.
+
+
+@functools.lru_cache(maxsize=16)
+def pose_geometry(width: int, height: int) -> np.ndarray:
+    """Next pose of every (pose, action) on a width x height grid.
+
+    A read-only (width * height * 4, NUM_ACTIONS) integer array.
+    """
+    y, x, d = np.meshgrid(np.arange(height), np.arange(width), np.arange(4), indexing="ij")
+    dx, dy = np.array(DIR_DELTAS).T
+    fx, fy = x + dx[d], y + dy[d]
+    inside = (fx >= 0) & (fx < width) & (fy >= 0) & (fy < height)
+    moves = {  # action -> (nx, ny, nd)
+        TURN_LEFT: (x, y, (d - 1) % 4),
+        TURN_RIGHT: (x, y, (d + 1) % 4),
+        FORWARD: (np.where(inside, fx, x), np.where(inside, fy, y), d),
+    }
+    nxt = np.empty((width * height * 4, NUM_ACTIONS), dtype=np.int64)
+    for a, (nx, ny, nd) in moves.items():
+        nxt[:, a] = ((ny * width + nx) * 4 + nd).ravel()
+    nxt.flags.writeable = False
+    return nxt
+
+
+@dataclass(frozen=True)
+class CompiledContext:
+    """A validated context as flat per-cell tables over its pose geometry.
+
+    Entering a cell whose goal bit is not yet in the collected mask pays
+    (cell_goal, 0, -1) and sets the bit; entering any other cell pays
+    (0, cell_lava, -1). The episode is terminal once the mask equals
+    full_mask.
+    """
+
+    width: int
+    height: int
+    start_pose: int
+    full_mask: int
+    cell_bit: np.ndarray  # goal bit of each cell, 0 if none
+    cell_goal: np.ndarray  # GOAL_REWARD * w_i on goal i's cell, else 0
+    cell_lava: np.ndarray  # -1.0 on lava, else 0.0
+
+    @property
+    def next_pose(self) -> np.ndarray:
+        return pose_geometry(self.width, self.height)
+
+
+_CODE_BIT = np.array([0, 0, 1, 2, 4])  # goal bit per cell code: bit i is GOAL_CODES[i]
+_CODE_LAVA = np.array([0.0, -1.0, 0.0, 0.0, 0.0])
+
+
+def compile_context(context: LavaGridContext) -> CompiledContext:
+    """Validate `context` and compile it (see `CompiledContext`)."""
+    context.validate(require_all_goals=False)
+    layout = context.layout
+    codes = layout.tiles.ravel()
+    code_goal = np.zeros(len(TILE_CHARS))
+    code_goal[list(GOAL_CODES)] = [GOAL_REWARD * float(w) for w in context.weights]
+    cell_bit = _CODE_BIT[codes]
+    sx, sy = layout.agent_start
+    return CompiledContext(
+        width=layout.width,
+        height=layout.height,
+        start_pose=(sy * layout.width + sx) * 4 + layout.agent_dir,
+        full_mask=int(cell_bit.sum()),  # each goal appears at most once
+        cell_bit=cell_bit,
+        cell_goal=code_goal[codes],
+        cell_lava=_CODE_LAVA[codes],
+    )
 
 
 def render_ascii(context: LavaGridContext, env: LavaGridEnv | None = None) -> str:

@@ -26,16 +26,10 @@ from . import agents
 from .fronts import ParetoFront, pareto_filter
 from .lavagrid import (
     ACTION_CHARS,
-    DIR_DELTAS,
-    FORWARD,
-    GOAL_CODES,
-    GOAL_REWARD,
-    LAVA,
     NUM_ACTIONS,
-    TURN_LEFT,
-    TURN_RIGHT,
     LavaGridContext,
     LavaGridEnv,
+    compile_context,
 )
 from .momdp import rollout
 
@@ -55,45 +49,29 @@ class OracleFront:
 def _build_tables(context: LavaGridContext):
     """Per-state transition and reward tables over (x, y, dir, mask).
 
-    State index ((y * width + x) * 4 + dir) * (full_mask + 1) + mask.
+    State index pose * (full_mask + 1) + mask, with the pose ids of
+    `compile_context`; raises ValueError for an invalid context.
     """
-    layout = context.layout
-    w, h = layout.width, layout.height
-    goals = layout.goal_positions()
-    full_mask = sum(1 << GOAL_CODES.index(code) for code in goals)
-    n_masks = full_mask + 1
-    cell_bit = np.zeros((h, w), dtype=np.int64)  # goal bit of each cell, 0 if none
-    cell_goal = np.zeros((h, w))  # reward for collecting that goal
-    for code, (gx, gy) in goals.items():
-        i = GOAL_CODES.index(code)
-        cell_bit[gy, gx] = 1 << i
-        cell_goal[gy, gx] = GOAL_REWARD * float(context.weights[i])
-
-    y, x, d, mask = np.meshgrid(
-        np.arange(h), np.arange(w), np.arange(4), np.arange(n_masks), indexing="ij"
+    model = compile_context(context)
+    n_masks = model.full_mask + 1
+    mask = np.arange(n_masks)[None, :, None]
+    pose = model.next_pose[:, None, :]  # (pose, 1, action): the next pose
+    cell = pose >> 2
+    bit = model.cell_bit[cell]
+    fresh = (mask & bit) != bit  # an uncollected goal lies on the new cell
+    next_state = pose * n_masks + (mask | bit)  # (pose, mask, action)
+    rewards = np.empty(next_state.shape + (3,))
+    rewards[..., 0] = np.where(fresh, model.cell_goal[cell], 0.0)
+    rewards[..., 1] = model.cell_lava[cell]
+    rewards[..., 2] = -1.0
+    start = model.start_pose * n_masks
+    terminal = np.arange(next_state.size // NUM_ACTIONS) % n_masks == model.full_mask
+    return (
+        start,
+        next_state.reshape(-1, NUM_ACTIONS),
+        rewards.reshape(-1, NUM_ACTIONS, 3),
+        terminal,
     )
-    dx, dy = np.array(DIR_DELTAS).T
-    fx, fy = x + dx[d], y + dy[d]
-    inside = (fx >= 0) & (fx < w) & (fy >= 0) & (fy < h)
-    moves = {  # action -> (nx, ny, nd)
-        TURN_LEFT: (x, y, (d - 1) % 4),
-        TURN_RIGHT: (x, y, (d + 1) % 4),
-        FORWARD: (np.where(inside, fx, x), np.where(inside, fy, y), d),
-    }
-    n_states = w * h * 4 * n_masks
-    next_state = np.empty((n_states, NUM_ACTIONS), dtype=np.int64)
-    rewards = np.zeros((n_states, NUM_ACTIONS, 3))
-    for a, (nx, ny, nd) in moves.items():
-        bit = cell_bit[ny, nx]
-        fresh = (mask & bit) != bit  # an uncollected goal lies on the new cell
-        next_state[:, a] = (((ny * w + nx) * 4 + nd) * n_masks + (mask | bit)).ravel()
-        rewards[:, a, 0] = np.where(fresh, cell_goal[ny, nx], 0.0).ravel()
-        rewards[:, a, 1] = np.where(layout.tiles[ny, nx] == LAVA, -1.0, 0.0).ravel()
-        rewards[:, a, 2] = -1.0
-    sx, sy = layout.agent_start
-    start = ((sy * w + sx) * 4 + layout.agent_dir) * n_masks
-    terminal = np.arange(n_states) % n_masks == full_mask
-    return start, next_state, rewards, terminal
 
 
 def _eps_prune(entries: np.ndarray, eps: float) -> list[int]:
@@ -181,7 +159,6 @@ def pareto_backward_induction(
         raise ValueError("gamma must be in [0, 1)")
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
-    context.validate(require_all_goals=False)
     start, next_state, rewards, terminal = _build_tables(context)
 
     # Forward reachability: states reachable in exactly t steps.

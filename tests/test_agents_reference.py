@@ -1,0 +1,153 @@
+"""The compiled-model agents against their frozen environment-driven reference.
+
+`agents_reference.py` holds the trainer, greedy rollout and random floor
+that stepped `LavaGridEnv`. The tests here require byte-identical
+snapshots (`to_json_obj()` as JSON text, so every float and every visited
+state key counts) and byte-identical greedy and random fronts.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+import agents_reference as ref
+from conftest import MICRO_GAMMA, MICRO_HORIZON, micro_suite
+from morlgen.agents import (
+    build_front,
+    random_policy_front,
+    train_scalarized_q,
+    weight_grid,
+)
+from morlgen.lavagrid import (
+    NORTH,
+    LavaGridContext,
+    LavaGridEnv,
+    LavaGridLayout,
+    LavaGridSpace,
+    builtin_eval_contexts,
+)
+from morlgen.stats import RandomStream
+
+GRID = weight_grid(4, 3)
+MICRO = micro_suite()
+# The only goal lies one step ahead of the start: many episodes end on a
+# terminal step, the rest are truncated.
+ONE_STEP = LavaGridContext(
+    LavaGridLayout.from_strings(["LGL", "...", "..."], (1, 1), NORTH), np.array([1.0, 0.0, 0.0])
+)
+EPSILONS = {
+    "annealed": {},
+    "greedy": {"eps_start": 0.0, "eps_end": 0.0},
+    "random": {"eps_start": 1.0, "eps_end": 1.0},
+}
+
+
+def snapshot_text(q):
+    return json.dumps(q.to_json_obj(), sort_keys=True)
+
+
+def assert_same_training(source, episodes, seed, gamma=MICRO_GAMMA, **kwargs):
+    args = (source, GRID, episodes, gamma, RandomStream(seed, (1,)))
+    new = train_scalarized_q(*args, alpha=0.2, **kwargs)
+    old = ref.reference_train_scalarized_q(*args, alpha=0.2, **kwargs)
+    assert snapshot_text(new) == snapshot_text(old)
+    return new
+
+
+def assert_same_front(new, old):
+    assert new.points.shape == old.points.shape
+    assert new.points.tobytes() == old.points.tobytes()
+    assert new.tags == old.tags
+
+
+@pytest.mark.parametrize("eps", sorted(EPSILONS))
+def test_micro_specialists_match_reference(eps):
+    for seed, (name, ctx) in enumerate(MICRO):
+        q = assert_same_training(ctx, 300, seed, max_steps=MICRO_HORIZON, **EPSILONS[eps])
+        assert_same_front(
+            build_front(q, GRID, ctx, MICRO_GAMMA, max_steps=MICRO_HORIZON),
+            ref.reference_build_front(q, GRID, ctx, MICRO_GAMMA, max_steps=MICRO_HORIZON),
+        )
+
+
+@pytest.mark.parametrize("eps", sorted(EPSILONS))
+@pytest.mark.parametrize("space", [LavaGridSpace(5, 3, (1, 3)), LavaGridSpace(11, 11, (0, 30))],
+                         ids=["5x3", "11x11"])
+def test_domain_randomized_generalists_match_reference(space, eps):
+    q = assert_same_training(space, 150, 7, max_steps=20, **EPSILONS[eps])
+    assert q.metadata["mode"] == "generalist"
+
+
+@pytest.mark.parametrize("max_steps", [1, 2])
+def test_truncated_episodes_match_reference(max_steps):
+    for seed, (name, ctx) in enumerate(MICRO):
+        assert_same_training(ctx, 50, seed, max_steps=max_steps)
+    assert_same_training(LavaGridSpace(5, 3, (1, 3)), 50, 3, max_steps=max_steps)
+
+
+@pytest.mark.parametrize("eps", sorted(EPSILONS))
+def test_terminal_episodes_match_reference(eps, monkeypatch):
+    ends = {"terminal": 0, "truncated": 0}
+
+    class CountingEnv(LavaGridEnv):
+        def step(self, action):
+            tr = super().step(action)
+            ends["terminal"] += tr.terminal
+            ends["truncated"] += tr.truncated
+            return tr
+
+    monkeypatch.setattr(ref, "LavaGridEnv", CountingEnv)
+    assert_same_training(ONE_STEP, 200, 5, gamma=0.9, max_steps=4, **EPSILONS[eps])
+    assert ends["terminal"] > 0 and ends["truncated"] > 0
+
+
+def test_builtin_fronts_match_reference():
+    gamma, max_steps = 0.995, 28
+    q = assert_same_training(LavaGridSpace(), 200, 11, gamma=gamma, max_steps=max_steps)
+    for idx, (name, ctx) in enumerate(builtin_eval_contexts()[:3]):
+        assert_same_front(
+            build_front(q, GRID, ctx, gamma, max_steps=max_steps),
+            ref.reference_build_front(q, GRID, ctx, gamma, max_steps=max_steps),
+        )
+        stream = RandomStream(idx, (3,))
+        assert_same_front(
+            random_policy_front(ctx, 20, gamma, stream, max_steps=max_steps),
+            ref.reference_random_policy_front(ctx, 20, gamma, stream, max_steps=max_steps),
+        )
+
+
+@pytest.mark.parametrize("max_steps", [1, MICRO_HORIZON])
+def test_random_fronts_match_reference(max_steps):
+    for idx, (name, ctx) in enumerate(MICRO + [("OneStep", ONE_STEP)]):
+        stream = RandomStream(idx, (3,))
+        assert_same_front(
+            random_policy_front(ctx, 100, MICRO_GAMMA, stream, max_steps=max_steps),
+            ref.reference_random_policy_front(ctx, 100, MICRO_GAMMA, stream, max_steps=max_steps),
+        )
+
+
+def test_rollout_arguments_checked_like_reference():
+    ctx = MICRO[0][1]
+    q = train_scalarized_q(ctx, GRID, 5, MICRO_GAMMA, RandomStream(0))
+    for kwargs in ({"gamma": 1.0}, {"gamma": -0.1}, {"max_steps": 0}):
+        args = {"gamma": MICRO_GAMMA, "max_steps": MICRO_HORIZON, **kwargs}
+        with pytest.raises(ValueError) as new:
+            build_front(q, GRID, ctx, args["gamma"], max_steps=args["max_steps"])
+        with pytest.raises(ValueError) as old:
+            ref.reference_build_front(q, GRID, ctx, args["gamma"], max_steps=args["max_steps"])
+        assert str(new.value) == str(old.value)
+
+
+def test_sampled_contexts_must_share_one_grid_size():
+    class TwoSizes:
+        def __init__(self):
+            self.spaces = [LavaGridSpace(5, 3, (1, 3)), LavaGridSpace(4, 4, (1, 3))]
+            self.draws = 0
+
+        def sample(self, rng):
+            self.draws += 1
+            return self.spaces[self.draws % 2].sample(rng)
+
+    with pytest.raises(ValueError, match="one grid size"):
+        train_scalarized_q(TwoSizes(), GRID, 4, MICRO_GAMMA, RandomStream(0), max_steps=3)

@@ -7,7 +7,10 @@ from morlgen.lavagrid import (
     DIR_CHARS,
     EAST,
     FORWARD,
+    GOAL_BLUE,
+    GOAL_GREEN,
     GOAL_REWARD,
+    GOAL_YELLOW,
     NORTH,
     SOUTH,
     TURN_LEFT,
@@ -20,6 +23,8 @@ from morlgen.lavagrid import (
     all_goals_reachable,
     builtin_context,
     builtin_eval_contexts,
+    compile_context,
+    pose_geometry,
     random_layout,
     reachable_cells,
     render_ascii,
@@ -84,6 +89,29 @@ class TestLayout:
         with pytest.raises(ValueError):
             LavaGridLayout.from_strings(["G.Y", ".."], (0, 1), EAST)
 
+    @pytest.mark.parametrize("code", [-1, 5, 127])
+    def test_out_of_range_code_rejected(self, code):
+        layout = LavaGridLayout.from_strings(["G.Y", "..B"], (0, 1), EAST)
+        layout.tiles[1, 1] = code
+        with pytest.raises(ValueError, match="^tiles contain unknown cell codes$"):
+            layout.validate()
+
+    def test_validation_messages(self):
+        dup = LavaGridLayout.from_strings(["GYG", "B.Y"], (1, 1), EAST)
+        with pytest.raises(ValueError, match="^goal G appears 2 times$"):
+            dup.validate()
+        missing = LavaGridLayout.from_strings(["Y..", "..."], (1, 1), EAST)
+        with pytest.raises(ValueError, match=r"^missing goal tile\(s\): \['G', 'B'\]$"):
+            missing.validate()
+        with pytest.raises(ValueError, match="^layout has no goal tiles$"):
+            LavaGridLayout.from_strings(["L..", "..."], (1, 1), EAST).validate(False)
+
+    def test_goal_positions_in_code_order(self):
+        layout = LavaGridLayout.from_strings(["B.Y", "..G"], (1, 1), EAST)
+        assert list(layout.goal_positions().items()) == [
+            (GOAL_GREEN, (2, 1)), (GOAL_YELLOW, (2, 0)), (GOAL_BLUE, (0, 0))
+        ]
+
 
 class TestContext:
     def test_weights_must_sum_to_one(self):
@@ -130,6 +158,46 @@ class TestReset:
         a, b = env.reset(FULL), env.reset(FULL)
         assert a.signature() == b.signature()
         assert np.array_equal(a.remaining_weights, b.remaining_weights)
+
+    def test_remaining_weights_read_only_per_mask(self):
+        c = ctx(["G..", "...", "..."], (1, 0), WEST, [0.5, 0.3, 0.2])
+        env = LavaGridEnv()
+        first = env.reset(c).remaining_weights
+        assert not first.flags.writeable
+        tr = env.step(TURN_LEFT)
+        assert tr.next_observation.remaining_weights is first
+        tr = env.step(TURN_RIGHT)
+        tr = env.step(FORWARD)  # onto G
+        assert tr.next_observation.remaining_weights.tolist() == [0.0, 0.3, 0.2]
+        assert c.weights.tolist() == [0.5, 0.3, 0.2]
+
+
+class TestCompiledContext:
+    def test_tables(self):
+        c = ctx(["B.L.G", ".....", "..L.."], (2, 1), NORTH, [0.45, 0.0, 0.55])
+        model = compile_context(c)
+        assert model.full_mask == 5  # G is bit 0, B is bit 2
+        assert model.start_pose == (1 * 5 + 2) * 4 + NORTH
+        assert model.cell_bit.tolist() == [4, 0, 0, 0, 1] + [0] * 10
+        assert model.cell_goal[0] == GOAL_REWARD * 0.55
+        assert model.cell_goal[4] == GOAL_REWARD * 0.45
+        assert np.flatnonzero(model.cell_lava).tolist() == [2, 12]
+        assert set(model.cell_lava.tolist()) == {0.0, -1.0}
+
+    def test_pose_geometry(self):
+        moves = pose_geometry(3, 2)
+        assert moves.shape == (3 * 2 * 4, 3)
+        assert not moves.flags.writeable
+        pose = (1 * 3 + 2) * 4 + EAST  # (2, 1) facing the east wall
+        assert moves[pose].tolist() == [pose - 1, pose + 1, pose]
+        pose = (1 * 3 + 2) * 4 + NORTH
+        assert moves[pose, FORWARD] == (0 * 3 + 2) * 4 + NORTH
+        assert pose_geometry(3, 2) is moves  # cached per grid size
+
+    def test_invalid_context_rejected(self):
+        bad = ctx(["G.Y", "...", "B.L"], (1, 1), EAST, [0.5, 0.3, 0.3])
+        with pytest.raises(ValueError, match="sum to 1"):
+            compile_context(bad)
 
 
 class TestStep:
