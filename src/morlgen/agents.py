@@ -7,9 +7,10 @@ own Q-table over the dynamic episode state (position, orientation,
 collected-goals mask), and rewards are scalarized with that weight during
 training. Greedy evaluation recovers the underlying vector returns, whose
 Pareto filter is the agent's front. A uniform-random-policy floor
-baseline rounds out the module. Training and both kinds of rollout step
-the compiled context model (`lavagrid.compile_context`), not the
-environment.
+baseline rounds out the module. Training steps the compiled context
+(`lavagrid.compile_context`); greedy and random rollouts step the
+context's (state, action) tables (`lavagrid.state_tables`), which the
+oracle backs up too. None of them steps the environment.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from .lavagrid import (
     NUM_ACTIONS,
     CompiledContext,
     LavaGridContext,
+    StateTables,
     compile_context,
+    state_tables,
 )
 from .stats import GENERATOR_ID, _rng_of
 
@@ -254,28 +257,26 @@ def _state_key(pose: int, mask: int, width: int) -> tuple[int, int, int, int]:
     return (x, y, pose & 3, mask)
 
 
-def _rollout(model: CompiledContext, choose, gamma: float, max_steps: int) -> np.ndarray:
-    """Discounted vector return of one episode on a compiled context.
+def _play(tables: StateTables, choose, gamma: float, max_steps: int) -> np.ndarray:
+    """Discounted vector return of one episode on a context's tables.
 
-    `choose(pose, mask)` picks each action. The return accumulates
+    `choose(state)` picks each action. The return accumulates
     ret += disc * r per objective, as `momdp.rollout` does on the
-    environment, so both give the same floats.
+    environment, so both give the same floats. Entries are read with
+    `ndarray.item`, which needs no Python copy of the tables.
     """
-    moves = model.next_pose.tolist()
-    cell_bit, cell_goal, cell_lava = _cells(model)
-    pose, mask = model.start_pose, 0
+    next_state, rewards, terminal = tables.next_state, tables.rewards, tables.terminal
+    s = tables.start
     goal = lava = time = 0.0
     disc = 1.0
     for _ in range(max_steps):
-        pose = moves[pose][choose(pose, mask)]
-        cell = pose >> 2
-        bit = cell_bit[cell] & ~mask
-        mask |= bit
-        goal += disc * (cell_goal[cell] if bit else 0.0)
-        lava += disc * cell_lava[cell]
-        time += disc * -1.0
+        a = choose(s)
+        goal += disc * rewards.item(s, a, 0)
+        lava += disc * rewards.item(s, a, 1)
+        time += disc * rewards.item(s, a, 2)
         disc *= gamma
-        if mask == model.full_mask:
+        s = next_state.item(s, a)
+        if terminal.item(s):
             break
     return np.array([goal, lava, time])
 
@@ -290,19 +291,18 @@ def _check_rollout(gamma: float, max_steps: int) -> None:
 def greedy_value_vector(
     q: TabularQ,
     widx: int,
-    context: LavaGridContext,
+    tables: StateTables,
     gamma: float,
     max_steps: int | None = None,
 ) -> np.ndarray:
     """Discounted vector return of the greedy policy for one grid weight."""
     max_steps = DEFAULT_MAX_STEPS if max_steps is None else max_steps
     _check_rollout(gamma, max_steps)
-    model = compile_context(context)
 
-    def choose(pose: int, mask: int) -> int:
-        return q.greedy_action(widx, _state_key(pose, mask, model.width))
+    def choose(s: int) -> int:
+        return q.greedy_action(widx, _state_key(s >> 3, s & 7, tables.width))
 
-    return _rollout(model, choose, gamma, max_steps)
+    return _play(tables, choose, gamma, max_steps)
 
 
 def build_front(
@@ -316,9 +316,10 @@ def build_front(
 
     Surviving points are tagged with their generating weight index.
     """
+    tables = state_tables(context)
     n = len(weight_grid)
     vectors = [
-        greedy_value_vector(q, widx, context, gamma, max_steps) for widx in range(n)
+        greedy_value_vector(q, widx, tables, gamma, max_steps) for widx in range(n)
     ]
     return pareto_filter(np.array(vectors), tags=list(range(n)))
 
@@ -336,9 +337,9 @@ def random_policy_front(
     rng = _rng_of(stream)
     max_steps = DEFAULT_MAX_STEPS if max_steps is None else max_steps
     _check_rollout(gamma, max_steps)
-    model = compile_context(context)
+    tables = state_tables(context)
 
-    def choose(_pose: int, _mask: int) -> int:
+    def choose(_s: int) -> int:
         return int(rng.integers(NUM_ACTIONS))
 
-    return pareto_filter(np.array([_rollout(model, choose, gamma, max_steps) for _ in range(n)]))
+    return pareto_filter(np.array([_play(tables, choose, gamma, max_steps) for _ in range(n)]))

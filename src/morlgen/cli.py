@@ -9,6 +9,7 @@ identical inputs and seeds. Exit codes: 0 success, 2 user/input error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -73,11 +74,15 @@ def _resolve_context(spec: str) -> LavaGridContext:
     return ctx
 
 
-def _load_config(path_str: str) -> tuple[harness.EvalConfig, Path]:
-    path = Path(path_str)
+def _load_config(args) -> tuple[harness.EvalConfig, Path]:
+    """The validated config of `--config`, with `--seed` in place of its seeds."""
+    path = Path(args.config)
     obj = _load_json(path)
     try:
-        return harness.EvalConfig.from_json_obj(obj), path
+        config = harness.EvalConfig.from_json_obj(obj)
+        if args.seed is not None:
+            config = dataclasses.replace(config, seeds=[args.seed])
+        return config, path
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
 
@@ -114,10 +119,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config, config_path = _load_config(args.config)
+    config, config_path = _load_config(args)
     out_dir = Path(args.out)
-    if args.seed is not None:
-        config.seeds = [args.seed]
     _write_manifest(out_dir, "train", config_path, config.seeds[0])
     modes = args.mode
     for seed in config.seeds:
@@ -133,15 +136,19 @@ def cmd_train(args) -> int:
 
 def _snapshot_fronts(config, snapshot_dir: Path, kind: str):
     """front_for_cell closure over trained snapshots, or raise InputError."""
+    loaded: dict[Path, agents.TabularQ] = {}  # the last one: cells come seed by seed
 
     def front_for_cell(seed, idx, name, ctx):
         if kind == "generalist":
             path = snapshot_dir / f"generalist_seed{seed}.json"
         else:
             path = snapshot_dir / f"specialist_seed{seed}_{name}.json"
-        if not path.exists():
-            raise InputError(f"missing agent snapshot {path}")
-        return harness.greedy_front(config, agents.TabularQ.load(path), ctx)
+        if path not in loaded:
+            if not path.exists():
+                raise InputError(f"missing agent snapshot {path}")
+            loaded.clear()
+            loaded[path] = agents.TabularQ.load(path)
+        return harness.greedy_front(config, loaded[path], ctx)
 
     return front_for_cell
 
@@ -172,10 +179,8 @@ def _write_report(report: harness.EvalReport, out_dir: Path) -> None:
 
 
 def cmd_eval(args) -> int:
-    config, config_path = _load_config(args.config)
+    config, config_path = _load_config(args)
     out_dir = Path(args.out)
-    if args.seed is not None:
-        config.seeds = [args.seed]
     _write_manifest(out_dir, "eval", config_path, config.seeds[0])
     refs = harness.make_reference_fronts(config)
     if args.self_test:
@@ -183,8 +188,6 @@ def cmd_eval(args) -> int:
     elif args.random_baseline:
         report = harness.evaluate_random_baseline(config, refs)
     else:
-        if args.agents is None:
-            raise InputError("--agents is required unless --self-test or --random-baseline")
         front_for_cell = _snapshot_fronts(config, Path(args.agents), args.kind)
         report = harness.evaluate_custom(config, refs, args.kind, front_for_cell)
     _write_report(report, out_dir)
@@ -271,10 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate agents and write a report")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--agents", default=None, help="snapshot directory from 'train'")
+    scored = p.add_mutually_exclusive_group(required=True)
+    scored.add_argument("--agents", default=None, help="snapshot directory from 'train'")
+    scored.add_argument("--self-test", action="store_true", help="score the reference fronts against themselves")
+    scored.add_argument("--random-baseline", action="store_true", help="score the uniform-random policy baseline")
     p.add_argument("--kind", choices=["generalist", "specialist"], default="generalist")
-    p.add_argument("--self-test", action="store_true", help="score the reference fronts against themselves")
-    p.add_argument("--random-baseline", action="store_true", help="score the uniform-random policy baseline")
     p.add_argument("--seed", type=int, default=None, help="override config seeds")
     p.add_argument("--parallel", type=int, default=None, help="accepted; outputs are independent of it")
     p.set_defaults(func=cmd_eval)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -44,6 +45,22 @@ _TRAIN, _EUM, _SPECIALIST, _RANDOM, _REFERENCE = 0, 1, 2, 3, 4
 REPORT_SCHEMA_VERSION = 1
 
 
+# EvalConfig's integer fields and the least value of each.
+_INT_FIELDS = {
+    "eval_episodes": 1, "eum_weight_samples": 1, "max_steps": 1, "train_episodes": 1,
+    "weight_grid_resolution": 1, "oracle_state_limit": 0, "reference_specialist_episodes": 1,
+    "reference_seed": 0, "dr_width": 1, "dr_height": 1,
+}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class EvalConfig:
     """Everything needed to reproduce one evaluation run."""
@@ -70,12 +87,23 @@ class EvalConfig:
             raise ValueError("config must declare at least one context")
         if not self.seeds:
             raise ValueError("config must declare at least one seed")
-        if self.eval_episodes < 1 or self.eum_weight_samples < 1:
-            raise ValueError("episode and weight-sample counts must be positive")
-        if self.train_episodes < 1:
-            raise ValueError("train_episodes must be positive")
-        if self.oracle_cap is not None and self.oracle_cap < 1:
-            raise ValueError(f"oracle_cap must be at least 1, got {self.oracle_cap}")
+        if not all(_is_int(seed) and seed >= 0 for seed in self.seeds):
+            raise ValueError(f"seeds must be nonnegative integers, got {self.seeds!r}")
+        for name, least in _INT_FIELDS.items():
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        cap = self.oracle_cap
+        if cap is not None and not (_is_int(cap) and cap >= 1):
+            raise ValueError(f"oracle_cap must be at least 1, got {cap!r}")
+        if not (_is_real(self.gamma) and 0.0 <= self.gamma < 1.0):
+            raise ValueError(f"gamma must be a number in [0, 1), got {self.gamma!r}")
+        if not (_is_real(self.alpha) and 0.0 < self.alpha <= 1.0):
+            raise ValueError(f"alpha must be a number in (0, 1], got {self.alpha!r}")
+        lava = self.dr_lava_range
+        if len(lava) != 2 or not all(_is_int(n) for n in lava):
+            raise ValueError(f"dr_lava_range must be two integers, got {list(lava)!r}")
+        self.dr_space()  # raises ValueError unless the lava range fits the grid
         grid_size = len(self.weight_grid())
         if self.eval_episodes < grid_size:
             raise ValueError(
@@ -127,7 +155,6 @@ class ReferenceFront:
     front: ParetoFront
     provenance: str  # oracle-exact | oracle-eps-pruned | specialist
     epsilon: float = 0.0
-    witnesses: tuple[str, ...] | None = None
 
 
 def make_reference_fronts(config: EvalConfig) -> dict[str, ReferenceFront]:
@@ -152,9 +179,7 @@ def make_reference_fronts(config: EvalConfig) -> dict[str, ReferenceFront]:
                 ctx, config.gamma, config.max_steps, cap=config.oracle_cap
             )
             if orf.exact:
-                refs[name] = ReferenceFront(
-                    orf.front, "oracle-exact", witnesses=orf.witnesses
-                )
+                refs[name] = ReferenceFront(orf.front, "oracle-exact")
                 continue
         spec = oracle.specialist_front(
             ctx,

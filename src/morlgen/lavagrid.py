@@ -364,6 +364,46 @@ def compile_context(context: LavaGridContext) -> CompiledContext:
     )
 
 
+@dataclass(frozen=True)
+class StateTables:
+    """A context's episode as tables over every (state, action).
+
+    A state is a pose and a collected mask, with id pose << 3 | mask (a
+    mask has one bit per goal colour). Action a in state s pays the
+    reward vector rewards[s, a] and moves to next_state[s, a]; the
+    episode ends on entering a state whose terminal flag is set.
+    """
+
+    width: int
+    start: int
+    next_state: np.ndarray  # (states, NUM_ACTIONS) int64
+    rewards: np.ndarray  # (states, NUM_ACTIONS, NUM_OBJECTIVES)
+    terminal: np.ndarray  # (states,) bool
+
+
+def state_tables(context: LavaGridContext) -> StateTables:
+    """Validate `context` and build its `StateTables` from `compile_context`."""
+    model = compile_context(context)
+    mask = np.arange(8)[None, :, None]
+    pose = model.next_pose[:, None, :]  # (pose, 1, action): the next pose
+    cell = pose >> 2
+    bit = model.cell_bit[cell]
+    fresh = (mask & bit) != bit  # an uncollected goal lies on the new cell
+    next_state = pose << 3 | mask | bit  # (pose, mask, action)
+    rewards = np.empty(next_state.shape + (NUM_OBJECTIVES,))
+    rewards[..., 0] = np.where(fresh, model.cell_goal[cell], 0.0)
+    rewards[..., 1] = model.cell_lava[cell]
+    rewards[..., 2] = -1.0
+    n_states = next_state.size // NUM_ACTIONS
+    return StateTables(
+        width=model.width,
+        start=model.start_pose << 3,
+        next_state=next_state.reshape(n_states, NUM_ACTIONS),
+        rewards=rewards.reshape(n_states, NUM_ACTIONS, NUM_OBJECTIVES),
+        terminal=np.arange(n_states) & 7 == model.full_mask,
+    )
+
+
 def render_ascii(context: LavaGridContext, env: LavaGridEnv | None = None) -> str:
     """Debug rendering: tile characters with the agent drawn as an arrow."""
     rows = [list(r) for r in context.layout.to_strings()]
@@ -400,6 +440,16 @@ def all_goals_reachable(layout: LavaGridLayout) -> bool:
     return all(pos in reach for pos in layout.goal_positions().values())
 
 
+def _lava_count_bounds(lava_count_range, width: int, height: int) -> tuple[int, int]:
+    """The (lo, hi) lava counts, checked to leave room for goals and agent."""
+    lo, hi = int(lava_count_range[0]), int(lava_count_range[1])
+    if lo < 0 or hi < lo:
+        raise ValueError(f"invalid lava count range ({lo}, {hi})")
+    if hi + 4 > width * height:
+        raise ValueError("lava count range leaves no room for goals and agent")
+    return lo, hi
+
+
 def random_layout(
     stream,
     lava_count_range: tuple[int, int] = (0, 30),
@@ -412,14 +462,9 @@ def random_layout(
     from the start (see `all_goals_reachable`).
     """
     rng = _rng_of(stream)
-    lo, hi = int(lava_count_range[0]), int(lava_count_range[1])
-    if lo < 0 or hi < lo:
-        raise ValueError(f"invalid lava count range ({lo}, {hi})")
-    n_cells = width * height
-    if hi + 4 > n_cells:
-        raise ValueError("lava count range leaves no room for goals and agent")
+    lo, hi = _lava_count_bounds(lava_count_range, width, height)
     lava_count = int(rng.integers(lo, hi + 1))
-    chosen = rng.choice(n_cells, size=lava_count + 4, replace=False)
+    chosen = rng.choice(width * height, size=lava_count + 4, replace=False)
     tiles = np.zeros((height, width), dtype=np.int8)
     cells = [(int(c % width), int(c // width)) for c in chosen]
     for (x, y), code in zip(cells[1:4], GOAL_CODES):
@@ -436,6 +481,9 @@ class LavaGridSpace:
     width: int = DEFAULT_SIZE
     height: int = DEFAULT_SIZE
     lava_count_range: tuple[int, int] = (0, 30)
+
+    def __post_init__(self):
+        _lava_count_bounds(self.lava_count_range, self.width, self.height)
 
     def sample(self, stream) -> LavaGridContext:
         rng = _rng_of(stream)

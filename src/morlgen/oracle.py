@@ -7,10 +7,10 @@ the nondominated union, over actions, of the step reward plus the
 discounted successor set. Every front vector carries a witness action
 sequence, so fronts are replay-verifiable against the live environment.
 
-The backup runs one horizon layer at a time on numpy arrays compiled
-from the context (next state, reward vector and terminal flag of every
-(state, action)). An independent brute-force enumerator over all action
-sequences provides the cross-check oracle for small horizons. When the
+The backup runs one horizon layer at a time on the context's
+`lavagrid.state_tables` (next state, reward vector and terminal flag of
+every (state, action)). An independent brute-force enumerator over all
+action sequences provides the cross-check oracle for small horizons. When the
 per-state set size exceeds a cap, sets are thinned by epsilon-dominance
 pruning with the smallest epsilon that respects the cap, and the result
 is flagged approximate.
@@ -29,7 +29,8 @@ from .lavagrid import (
     NUM_ACTIONS,
     LavaGridContext,
     LavaGridEnv,
-    compile_context,
+    StateTables,
+    state_tables,
 )
 from .momdp import rollout
 
@@ -46,32 +47,9 @@ class OracleFront:
     epsilon: float = 0.0  # largest pruning epsilon applied, 0 when exact
 
 
-def _build_tables(context: LavaGridContext):
-    """Per-state transition and reward tables over (x, y, dir, mask).
-
-    State index pose * (full_mask + 1) + mask, with the pose ids of
-    `compile_context`; raises ValueError for an invalid context.
-    """
-    model = compile_context(context)
-    n_masks = model.full_mask + 1
-    mask = np.arange(n_masks)[None, :, None]
-    pose = model.next_pose[:, None, :]  # (pose, 1, action): the next pose
-    cell = pose >> 2
-    bit = model.cell_bit[cell]
-    fresh = (mask & bit) != bit  # an uncollected goal lies on the new cell
-    next_state = pose * n_masks + (mask | bit)  # (pose, mask, action)
-    rewards = np.empty(next_state.shape + (3,))
-    rewards[..., 0] = np.where(fresh, model.cell_goal[cell], 0.0)
-    rewards[..., 1] = model.cell_lava[cell]
-    rewards[..., 2] = -1.0
-    start = model.start_pose * n_masks
-    terminal = np.arange(next_state.size // NUM_ACTIONS) % n_masks == model.full_mask
-    return (
-        start,
-        next_state.reshape(-1, NUM_ACTIONS),
-        rewards.reshape(-1, NUM_ACTIONS, 3),
-        terminal,
-    )
+def _build_tables(context: LavaGridContext) -> StateTables:
+    """The context's (state, action) tables; raises ValueError if invalid."""
+    return state_tables(context)
 
 
 def _eps_prune(entries: np.ndarray, eps: float) -> list[int]:
@@ -159,10 +137,11 @@ def pareto_backward_induction(
         raise ValueError("gamma must be in [0, 1)")
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
-    start, next_state, rewards, terminal = _build_tables(context)
+    tables = _build_tables(context)
+    next_state, rewards, terminal = tables.next_state, tables.rewards, tables.terminal
 
     # Forward reachability: states reachable in exactly t steps.
-    reach = [np.array([start])]
+    reach = [np.array([tables.start])]
     for _ in range(horizon):
         prev = reach[-1]
         live = prev[~terminal[prev]]

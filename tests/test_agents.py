@@ -20,6 +20,7 @@ from morlgen.lavagrid import (
     LavaGridContext,
     LavaGridEnv,
     LavaGridLayout,
+    state_tables,
 )
 from morlgen.oracle import pareto_backward_induction
 from morlgen.stats import RandomStream
@@ -58,8 +59,8 @@ class TestTraining:
         c = ctx(["G.Y", "..."], (1, 0), EAST, [0.5, 0.5, 0.0])
         q = train_scalarized_q(c, grid, 4000, 0.9, RandomStream(0, (0,)),
                                alpha=0.3, max_steps=8)
-        v_green = greedy_value_vector(q, 0, c, 0.9, max_steps=8)
-        v_yellow = greedy_value_vector(q, 1, c, 0.9, max_steps=8)
+        v_green = greedy_value_vector(q, 0, state_tables(c), 0.9, max_steps=8)
+        v_yellow = greedy_value_vector(q, 1, state_tables(c), 0.9, max_steps=8)
         # both policies end up collecting both goals; the favored goal is
         # collected first, so its discounted share is larger
         assert v_green[0] >= v_yellow[0] - 1e-9
@@ -129,7 +130,7 @@ class TestGreedyEvaluation:
     def test_untrained_ties_to_action_zero(self):
         """All-zero tables turn left forever; the agent never moves."""
         q = TabularQ(weight_grid=weight_grid(2, 3), alpha=0.1)
-        v = greedy_value_vector(q, 0, TWO_GOALS, 0.5, max_steps=4)
+        v = greedy_value_vector(q, 0, state_tables(TWO_GOALS), 0.5, max_steps=4)
         expected_time = -(1 + 0.5 + 0.25 + 0.125)
         assert np.allclose(v, [0.0, 0.0, expected_time])
 
@@ -137,8 +138,8 @@ class TestGreedyEvaluation:
         grid = weight_grid(3, 3)
         q = train_scalarized_q(TWO_GOALS, grid, 500, 0.9, RandomStream(1, (0,)),
                                max_steps=8)
-        a = greedy_value_vector(q, 2, TWO_GOALS, 0.9, max_steps=8)
-        b = greedy_value_vector(q, 2, TWO_GOALS, 0.9, max_steps=8)
+        a = greedy_value_vector(q, 2, state_tables(TWO_GOALS), 0.9, max_steps=8)
+        b = greedy_value_vector(q, 2, state_tables(TWO_GOALS), 0.9, max_steps=8)
         assert np.array_equal(a, b)
 
 
@@ -162,7 +163,7 @@ class TestBuildFront:
         q = train_scalarized_q(TWO_GOALS, grid, 4000, 0.9, RandomStream(4, (0,)),
                                alpha=0.2, max_steps=8)
         vectors = [
-            greedy_value_vector(q, widx, TWO_GOALS, 0.9, max_steps=8)
+            greedy_value_vector(q, widx, state_tables(TWO_GOALS), 0.9, max_steps=8)
             for widx in range(len(grid))
         ]
         front = build_front(q, grid, TWO_GOALS, 0.9, max_steps=8)

@@ -98,26 +98,43 @@ def test_terminal_episodes_match_reference(eps, monkeypatch):
             return tr
 
     monkeypatch.setattr(ref, "LavaGridEnv", CountingEnv)
-    assert_same_training(ONE_STEP, 200, 5, gamma=0.9, max_steps=4, **EPSILONS[eps])
+    q = assert_same_training(ONE_STEP, 200, 5, gamma=0.9, max_steps=4, **EPSILONS[eps])
     assert ends["terminal"] > 0 and ends["truncated"] > 0
+    for max_steps in (1, 4):
+        assert_same_front(
+            build_front(q, GRID, ONE_STEP, 0.9, max_steps=max_steps),
+            ref.reference_build_front(q, GRID, ONE_STEP, 0.9, max_steps=max_steps),
+        )
+
+
+def front_contexts():
+    """The 8 builtins, sampled 11x11 DR contexts and an 11x11 two-goal context."""
+    contexts = [ctx for _, ctx in builtin_eval_contexts()]
+    contexts += [LavaGridSpace().sample(RandomStream(seed, (5,))) for seed in range(3)]
+    maze = builtin_eval_contexts()[3][1]
+    rows = [row.replace("Y", ".") for row in maze.layout.to_strings()]
+    layout = LavaGridLayout.from_strings(rows, maze.layout.agent_start, maze.layout.agent_dir)
+    contexts.append(LavaGridContext(layout, np.array([0.4, 0.0, 0.6])))  # full mask 5
+    return contexts
 
 
 def test_builtin_fronts_match_reference():
-    gamma, max_steps = 0.995, 28
-    q = assert_same_training(LavaGridSpace(), 200, 11, gamma=gamma, max_steps=max_steps)
-    for idx, (name, ctx) in enumerate(builtin_eval_contexts()[:3]):
-        assert_same_front(
-            build_front(q, GRID, ctx, gamma, max_steps=max_steps),
-            ref.reference_build_front(q, GRID, ctx, gamma, max_steps=max_steps),
-        )
-        stream = RandomStream(idx, (3,))
-        assert_same_front(
-            random_policy_front(ctx, 20, gamma, stream, max_steps=max_steps),
-            ref.reference_random_policy_front(ctx, 20, gamma, stream, max_steps=max_steps),
-        )
+    gamma = 0.995
+    q = assert_same_training(LavaGridSpace(), 200, 11, gamma=gamma, max_steps=28)
+    for max_steps in (1, 2, 28, 64):
+        for idx, ctx in enumerate(front_contexts()):
+            assert_same_front(
+                build_front(q, GRID, ctx, gamma, max_steps=max_steps),
+                ref.reference_build_front(q, GRID, ctx, gamma, max_steps=max_steps),
+            )
+            stream = RandomStream(idx, (3,))
+            assert_same_front(
+                random_policy_front(ctx, 20, gamma, stream, max_steps=max_steps),
+                ref.reference_random_policy_front(ctx, 20, gamma, stream, max_steps=max_steps),
+            )
 
 
-@pytest.mark.parametrize("max_steps", [1, MICRO_HORIZON])
+@pytest.mark.parametrize("max_steps", [1, 2, MICRO_HORIZON, 64])
 def test_random_fronts_match_reference(max_steps):
     for idx, (name, ctx) in enumerate(MICRO + [("OneStep", ONE_STEP)]):
         stream = RandomStream(idx, (3,))

@@ -1,15 +1,20 @@
 """Tests for the command-line pipeline."""
 
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import micro_config, micro_context, micro_suite
-from morlgen import harness
+from morlgen import agents, harness
 from morlgen.cli import EXIT_APPROXIMATE, EXIT_INPUT_ERROR, EXIT_OK, main
 from morlgen.fronts import ParetoFront
 from morlgen.oracle import enumerate_returns
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def write_config(tmp_path, **overrides):
@@ -106,6 +111,50 @@ class TestConfigErrors:
         self.assert_train_and_eval_exit_2(tmp_path, write_config(tmp_path, oracle_cap=0))
         assert "oracle_cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("seeds", ["a"]),
+        ("seeds", [1.5]),
+        ("seeds", [-1]),
+        ("gamma", "0.9"),
+        ("gamma", 1.5),
+        ("gamma", -0.1),
+        ("alpha", -1),
+        ("alpha", 0),
+        ("alpha", 1.5),
+        ("max_steps", "12"),
+        ("max_steps", 0),
+        ("eum_weight_samples", 2.5),
+        ("dr_width", 0),
+        ("dr_lava_range", [1]),
+        ("dr_lava_range", [3, 1]),
+        ("dr_lava_range", [0, 1.5]),
+        ("dr_lava_range", [0, 12]),  # 12 lava cells leave a 5x3 grid no room for goals
+    ])
+    def test_malformed_value_exit_2_before_any_work(self, tmp_path, capsys, key, value):
+        self.assert_train_and_eval_exit_2(tmp_path, write_config(tmp_path, **{key: value}))
+        assert not (tmp_path / "t").exists() and not (tmp_path / "e").exists()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert key in err or "lava count range" in err
+
+    def test_negative_seed_override_exit_2_before_any_work(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        for command in (["train"], ["eval", "--self-test"]):
+            out = tmp_path / command[0]
+            assert main([*command, "--config", str(cfg), "--seed", "-1",
+                         "--out", str(out)]) == EXIT_INPUT_ERROR
+            assert not out.exists()
+            assert "seeds" in capsys.readouterr().err
+
+    def test_benchmark_configs_load(self, monkeypatch):
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+        spec.loader.exec_module(workloads)
+        for workload in workloads.WORKLOADS.values():
+            for seed in range(3):
+                harness.EvalConfig.from_json_obj(workload.config(seed))
+
     def test_every_context_excluded_exit_2(self, tmp_path, capsys):
         trivial = micro_context(["G..", "...", "..."], [1.0, 0.0, 0.0], "Trivial",
                                 start=(0, 1))
@@ -182,17 +231,38 @@ class TestEvalCommand:
                      str(tmp_path / "empty"), "--out", str(tmp_path / "o")]) \
             == EXIT_INPUT_ERROR
 
-    def test_trained_agents_evaluated(self, tmp_path):
-        cfg = write_config(tmp_path)
+    def test_trained_agents_evaluated(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, seeds=[0, 1])
         snaps = tmp_path / "snaps"
         main(["train", "--config", str(cfg), "--mode", "generalist",
               "--out", str(snaps)])
+        loads = []
+        load = agents.TabularQ.load.__func__
+        monkeypatch.setattr(agents.TabularQ, "load",
+                            classmethod(lambda cls, path: loads.append(path) or load(cls, path)))
         out = tmp_path / "o"
         assert main(["eval", "--config", str(cfg), "--agents", str(snaps),
                      "--kind", "generalist", "--out", str(out)]) == EXIT_OK
         report = json.loads((out / "report.json").read_text())
         assert report["agent_kind"] == "generalist"
         assert (out / "cells").is_dir()
+        assert len(report["cells"]) == 4
+        assert sorted(p.name for p in loads) == ["generalist_seed0.json", "generalist_seed1.json"]
+
+    @pytest.mark.parametrize("flags, message", [
+        ([], "is required"),
+        (["--self-test", "--random-baseline"], "not allowed with"),
+        (["--agents", "snaps", "--self-test"], "not allowed with"),
+        (["--agents", "snaps", "--random-baseline"], "not allowed with"),
+    ])
+    def test_one_scoring_source_required(self, tmp_path, capsys, flags, message):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--config", str(cfg), "--out", str(out), *flags])
+        assert exc.value.code == EXIT_INPUT_ERROR
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCliMatchesHarness:

@@ -111,23 +111,24 @@ def table_contexts():
 
 @pytest.mark.parametrize("ctx", table_contexts(), ids=lambda c: c.name or "random")
 def test_tables_match_environment(ctx):
-    start, next_state, rewards, terminal = _build_tables(ctx)
+    tables = _build_tables(ctx)
+    next_state, rewards, terminal = tables.next_state, tables.rewards, tables.terminal
     layout = ctx.layout
     full_mask = sum(1 << GOAL_CODES.index(code) for code in layout.goal_positions())
-    n_masks = full_mask + 1
 
-    def encode(x, y, d, mask):
-        return ((y * layout.width + x) * 4 + d) * n_masks + mask
+    def encode(x, y, d, mask):  # the shared state id pose << 3 | mask
+        return ((y * layout.width + x) * 4 + d) << 3 | mask
 
     sx, sy = layout.agent_start
-    assert start == encode(sx, sy, layout.agent_dir, 0)
-    assert next_state.shape == (layout.width * layout.height * 4 * n_masks, NUM_ACTIONS)
+    assert tables.width == layout.width
+    assert tables.start == encode(sx, sy, layout.agent_dir, 0)
+    assert next_state.shape == (layout.width * layout.height * 4 * 8, NUM_ACTIONS)
     env = LavaGridEnv(max_steps=2)
     env.reset(ctx)
     for y in range(layout.height):
         for x in range(layout.width):
             for d in range(4):
-                for mask in range(n_masks):
+                for mask in range(8):
                     if mask & ~full_mask:
                         continue  # a goal the layout lacks: never reached
                     s = encode(x, y, d, mask)
