@@ -72,7 +72,7 @@ class TabularQ:
         q = table.get(digest)
         if q is None:
             return 0  # unseen state: ties break to the lowest action index
-        return int(np.argmax(q))
+        return int(q.argmax())
 
     # -- snapshots --------------------------------------------------------
 
@@ -109,16 +109,34 @@ class TabularQ:
             metadata=dict(obj.get("metadata", {})),
         )
         for widx_str, table in obj["tables"].items():
-            q.tables[int(widx_str)] = {
-                tuple(int(x) for x in digest.split(",")): np.array(vals, dtype=float)
-                for digest, vals in table.items()
-            }
+            q.tables[int(widx_str)] = _parse_table(widx_str, table, q.action_count)
         return q
 
     @classmethod
     def load(cls, path) -> "TabularQ":
         with open(path) as fh:
             return cls.from_json_obj(json.load(fh))
+
+
+def _parse_table(widx: str, table: dict, action_count: int) -> dict[tuple, np.ndarray]:
+    """One weight's snapshot table as {(x, y, dir, mask): Q-values}.
+
+    The keys and the Q-values are each parsed in one numpy call; every
+    value is a row of one (states, action_count) array.
+    """
+    if not table:
+        return {}
+    try:
+        keys = np.array([digest.split(",") for digest in table], dtype=np.int64)
+        values = np.array(list(table.values()), dtype=float)
+        if keys.shape[1:] != (4,) or values.shape[1:] != (action_count,):
+            raise ValueError
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"snapshot table {widx}: every state needs a key of 4 integers "
+            f"and {action_count} Q-values"
+        ) from None
+    return dict(zip(map(tuple, keys.tolist()), values))
 
 
 def _epsilon(episode: int, episodes: int, start: float, end: float, frac: float) -> float:
@@ -233,9 +251,8 @@ def train_scalarized_q(
     for widx, table in enumerate(store):
         if table is not None:
             q.tables[widx] = {
-                _state_key(s >> 3, s & 7, width): np.array(vals)
-                for s, vals in enumerate(table)
-                if vals is not None
+                _state_key(s >> 3, s & 7, width): np.array(table[s])
+                for s in itertools.compress(range(len(table)), table)  # visited states
             }
     q.episodes_trained = int(episodes)
     return q
@@ -331,15 +348,25 @@ def random_policy_front(
     stream,
     max_steps: int | None = None,
 ) -> ParetoFront:
-    """Floor baseline: Pareto filter of n uniform-random-action rollouts."""
+    """Floor baseline: Pareto filter of n uniform-random-action rollouts.
+
+    A rollout draws its max_steps actions in one call. One that ends
+    early rewinds the generator and draws only the actions it took, so
+    the stream advances as with one draw per step.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = _rng_of(stream)
     max_steps = DEFAULT_MAX_STEPS if max_steps is None else max_steps
     _check_rollout(gamma, max_steps)
     tables = state_tables(context)
-
-    def choose(_s: int) -> int:
-        return int(rng.integers(NUM_ACTIONS))
-
-    return pareto_filter(np.array([_play(tables, choose, gamma, max_steps) for _ in range(n)]))
+    vectors = []
+    for _ in range(n):
+        saved = rng.bit_generator.state
+        actions = iter(rng.integers(NUM_ACTIONS, size=max_steps).tolist())
+        vectors.append(_play(tables, lambda _s: next(actions), gamma, max_steps))
+        unused = len(list(actions))
+        if unused:
+            rng.bit_generator.state = saved
+            rng.integers(NUM_ACTIONS, size=max_steps - unused)
+    return pareto_filter(np.array(vectors))

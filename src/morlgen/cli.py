@@ -137,6 +137,7 @@ def cmd_train(args) -> int:
 def _snapshot_fronts(config, snapshot_dir: Path, kind: str):
     """front_for_cell closure over trained snapshots, or raise InputError."""
     loaded: dict[Path, agents.TabularQ] = {}  # the last one: cells come seed by seed
+    grid = config.weight_grid()
 
     def front_for_cell(seed, idx, name, ctx):
         if kind == "generalist":
@@ -146,8 +147,17 @@ def _snapshot_fronts(config, snapshot_dir: Path, kind: str):
         if path not in loaded:
             if not path.exists():
                 raise InputError(f"missing agent snapshot {path}")
-            loaded.clear()
-            loaded[path] = agents.TabularQ.load(path)
+            loaded.clear()  # before loading, so one snapshot is held at a time
+            try:
+                q = agents.TabularQ.load(path)
+            except ValueError as exc:
+                raise InputError(f"{path}: {exc}") from None
+            if not np.array_equal(q.weight_grid, grid):
+                raise InputError(
+                    f"{path}: snapshot has {len(q.weight_grid)} grid weights, "
+                    f"the config's weight_grid_resolution gives {len(grid)}"
+                )
+            loaded[path] = q
         return harness.greedy_front(config, loaded[path], ctx)
 
     return front_for_cell

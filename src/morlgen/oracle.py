@@ -35,6 +35,8 @@ from .lavagrid import (
 from .momdp import rollout
 
 MAX_ENUMERATION_HORIZON = 14
+_SIGN_BIT = np.uint64(1 << 63)
+_SCAN_STEPS = 4  # row-by-row steps of the dominance scan before it compares all pairs
 
 
 @dataclass(frozen=True)
@@ -52,22 +54,41 @@ def _build_tables(context: LavaGridContext) -> StateTables:
     return state_tables(context)
 
 
-def _eps_prune(entries: np.ndarray, eps: float) -> list[int]:
+def _cover_index(entries: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
+    """Each objective's column in ascending order, with prefix bitsets.
+
+    prefixes[k][c] is the bitset (bit m for row m) of the c rows that come
+    first in objective k's ascending order.
+    """
+    order = np.argsort(entries, axis=0, kind="stable")
+    prefixes = []
+    for rows in order.T.tolist():
+        bits = [0]
+        for m in rows:
+            bits.append(bits[-1] | 1 << m)
+        prefixes.append(bits)
+    return np.take_along_axis(entries, order, axis=0).T.copy(), prefixes
+
+
+def _eps_prune(entries: np.ndarray, eps: float, index) -> list[int]:
     """Indices of a subset such that every dropped vector is eps-dominated.
 
     Scans in order and keeps a vector unless an already-kept one is
-    >= it minus eps in every objective.
+    >= it minus eps in every objective. `index` is `_cover_index(entries)`.
+    In objective k, the rows m with entries[m, k] - eps <= entries[i, k]
+    are the first ones of the column's ascending order (subtracting eps
+    keeps that order), so the rows that row i covers are an AND of three
+    prefix bitsets, and the scan runs on bits.
     """
-    low = entries - eps
-    covers = np.ones((len(entries), len(entries)), dtype=bool)  # [j, i]: j covers i
-    for k in range(entries.shape[1]):
-        covers &= entries[:, None, k] >= low[None, :, k]
-    covered = np.zeros(len(entries), dtype=bool)
+    ascending, (p0, p1, p2) = index
+    low = ascending - eps
+    c0, c1, c2 = [lk.searchsorted(ek, "right").tolist() for lk, ek in zip(low, entries.T)]
+    uncovered = (1 << len(entries)) - 1
     kept = []
-    for i in range(len(entries)):
-        if not covered[i]:
-            kept.append(i)
-            covered |= covers[i]
+    while uncovered:
+        i = (uncovered & -uncovered).bit_length() - 1  # the first uncovered row
+        kept.append(i)
+        uncovered &= ~(p0[c0[i]] & p1[c1[i]] & p2[c2[i]] | 1 << i)
     return kept
 
 
@@ -75,19 +96,36 @@ def _prune_to_cap(entries: np.ndarray, cap: int) -> tuple[list[int], float]:
     """Smallest-epsilon pruning (binary search) that respects the cap."""
     if len(entries) <= cap:
         return list(range(len(entries))), 0.0
+    index = _cover_index(entries)
     hi = float((entries.max(axis=0) - entries.min(axis=0)).max())
     lo = 0.0
     best = None
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        pruned = _eps_prune(entries, mid)
+        pruned = _eps_prune(entries, mid, index)
         if len(pruned) <= cap:
             best, hi = (pruned, mid), mid
         else:
             lo = mid
     if best is None:
-        best = (_eps_prune(entries, hi), hi)
+        best = (_eps_prune(entries, hi, index), hi)
     return best
+
+
+def _descending_keys(entries: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Sort keys of (group, -e0, -e1, -e2), one 32-byte string per row.
+
+    A float's bits, with the sign bit set if it is nonnegative and every
+    bit flipped if it is negative, order as the float does when read as a
+    big-endian unsigned integer. So the keys compare bytewise as the rows
+    do lexicographically, by group and then objectives descending; 0.0 - x
+    gives -0.0 and 0.0 one key, as float comparison does.
+    """
+    bits = (0.0 - entries).view(np.uint64)  # 0.0 - x turns both zeros into +0.0
+    keys = np.empty((len(entries), 4), dtype=">u8")
+    keys[:, 0] = groups
+    keys[:, 1:] = bits ^ ((bits.view(np.int64) >> 63).view(np.uint64) | _SIGN_BIT)
+    return keys.view("V32").ravel()
 
 
 def _nondominated_entries(entries: np.ndarray, groups: np.ndarray) -> np.ndarray:
@@ -98,21 +136,34 @@ def _nondominated_entries(entries: np.ndarray, groups: np.ndarray) -> np.ndarray
     when an earlier row of its group is >= it in every objective, so the
     first of exact duplicates wins. Weak dominance is transitive, so this
     keeps what a scan against the already-kept rows keeps.
+
+    Every earlier row of a group is >= in objective 0, so only objectives
+    1 and 2 are compared (the 3-D to 2-D step of Kung, Luccio and
+    Preparata's maxima sort). Each row is compared with the rows 1, 2, ...
+    places back until one dominates it; after a few such steps, the rows
+    left are compared with all their earlier rows at once.
     """
     n = len(entries)
-    order = np.lexsort(
-        (np.arange(n), -entries[:, 2], -entries[:, 1], -entries[:, 0], groups)
-    )
-    vecs, grp = entries[order], groups[order]
+    order = np.argsort(_descending_keys(entries, groups), kind="stable")
+    grp = groups[order]
     rank = np.arange(n) - np.searchsorted(grp, grp)  # position within its group
+    v1, v2 = entries[order, 1], entries[order, 2]
     dominated = np.zeros(n, dtype=bool)
-    rows = np.flatnonzero(rank >= 1)
-    k = 1
-    while rows.size:  # compare each row with the row k places back in its group
-        hit = (vecs[rows - k] >= vecs[rows]).all(axis=1)
+    rows = np.flatnonzero(rank >= 1)  # rows not yet dominated, with earlier rows left
+    k = 1  # rows are next compared with the row k places back
+    while rows.size:
+        if k > _SCAN_STEPS:  # compare the rows left with all their earlier rows at once
+            todo = rank[rows] - k + 1
+            if todo.sum() <= 2 * n:  # bounds the memory of the pair arrays
+                row = np.repeat(rows, todo)
+                back = np.repeat(rows - k + np.cumsum(todo) - todo, todo) - np.arange(len(row))
+                dominated[row[(v1[back] >= v1[row]) & (v2[back] >= v2[row])]] = True
+                break
+        back = rows - k
+        hit = (v1[back] >= v1[rows]) & (v2[back] >= v2[rows])
         dominated[rows[hit]] = True
         k += 1
-        rows = rows[rank[rows] >= k]
+        rows = rows[~hit & (rank[rows] >= k)]
     return order[~dominated]
 
 
@@ -140,12 +191,14 @@ def pareto_backward_induction(
     tables = _build_tables(context)
     next_state, rewards, terminal = tables.next_state, tables.rewards, tables.terminal
 
-    # Forward reachability: states reachable in exactly t steps.
+    # Forward reachability: states reachable in exactly t steps, ascending.
     reach = [np.array([tables.start])]
+    seen = np.zeros(len(terminal), dtype=bool)
     for _ in range(horizon):
         prev = reach[-1]
-        live = prev[~terminal[prev]]
-        reach.append(np.unique(next_state[live].ravel()) if live.size else live)
+        seen[:] = False
+        seen[next_state[prev[~terminal[prev]]]] = True
+        reach.append(np.flatnonzero(seen))
 
     # The sets of layer t: state reach[t][i] owns rows first[i]:first[i] +
     # count[i] of `vectors`. Row j's witness starts with action
@@ -157,6 +210,7 @@ def pareto_backward_induction(
     nodes = np.full(len(states), -1, dtype=np.int32)
     node_action = [None] * horizon
     node_parent = [None] * horizon
+    position = np.zeros(len(terminal), dtype=np.int64)  # a state's index in its layer
     max_eps = 0.0
     for t in range(horizon - 1, -1, -1):
         first = np.cumsum(count) - count
@@ -164,12 +218,15 @@ def pareto_backward_induction(
         is_live = ~terminal[layer_states]
         live = layer_states[is_live]
         # Candidates of every live (state, action) pair, pairs in order.
-        succ = np.searchsorted(states, next_state[live]).ravel()
+        position[states] = np.arange(len(states))
+        succ = position[next_state[live]].ravel()
         sizes = count[succ]
         pair = np.repeat(np.arange(len(succ)), sizes)
-        offset = np.arange(len(pair)) - (np.cumsum(sizes) - sizes)[pair]
-        src = first[succ][pair] + offset
-        cand = rewards[live].reshape(-1, 3)[pair] + gamma * vectors[src]
+        shift = first[succ] - (np.cumsum(sizes) - sizes)  # row of src minus row of pair
+        src = np.arange(len(pair)) + np.repeat(shift, sizes)
+        cand = vectors[src]
+        cand *= gamma
+        cand += np.repeat(rewards[live].reshape(-1, 3), sizes, axis=0)  # R + gamma * V
         group = pair // NUM_ACTIONS
         kept = _nondominated_entries(cand, group)
         if cap is not None:
@@ -186,16 +243,17 @@ def pareto_backward_induction(
                 kept = kept[keep]
         node_action[t] = (pair[kept] % NUM_ACTIONS).astype(np.int8)
         node_parent[t] = nodes[src[kept]]
-        # The new layer's rows, ordered by state: kept candidates, then a
-        # zero vector for each terminal state, merged by position.
+        # The new layer's rows, ordered by state: the kept candidates, and a
+        # zero vector with node -1 for each terminal state in between.
         term_pos = np.flatnonzero(~is_live)
-        owner = np.concatenate([np.flatnonzero(is_live)[group[kept]], term_pos])
-        merge = np.argsort(owner, kind="stable")
-        vectors = np.concatenate([cand[kept], np.zeros((len(term_pos), 3))])[merge]
-        nodes = np.concatenate(
-            [np.arange(len(kept)), np.full(len(term_pos), -1)]
-        ).astype(np.int32)[merge]
+        owner = np.flatnonzero(is_live)[group[kept]]
+        at = np.arange(len(kept)) + np.searchsorted(term_pos, owner)
+        vectors = np.zeros((len(kept) + len(term_pos), 3))
+        vectors[at] = cand[kept]
+        nodes = np.full(len(vectors), -1, dtype=np.int32)
+        nodes[at] = np.arange(len(kept))
         count = np.bincount(owner, minlength=len(layer_states))
+        count[term_pos] = 1
         states = layer_states
 
     witnesses = []

@@ -200,6 +200,22 @@ class TestSnapshots:
             tmp_path / "agent1.json"
         ).read_bytes()
 
+    @pytest.mark.parametrize("rows", ["ragged", "all_wide", "all_narrow"])
+    def test_malformed_table_rejected(self, rows):
+        q = train_scalarized_q(TWO_GOALS, weight_grid(2, 3), 100, 0.9,
+                               RandomStream(8, (0,)), max_steps=8)
+        obj = q.to_json_obj()
+        table = next(iter(obj["tables"].values()))
+        for i, key in enumerate(table):
+            if rows == "all_wide":
+                table[key] = table[key] + [0.0]
+            elif rows == "all_narrow":
+                table[key] = table[key][:2]
+            elif i == 0:
+                table[key] = table[key][:2]
+        with pytest.raises(ValueError, match="3 Q-values"):
+            TabularQ.from_json_obj(obj)
+
     def test_version_mismatch(self):
         with pytest.raises(ValueError):
             TabularQ.from_json_obj({"version": 999})

@@ -155,6 +155,19 @@ class TestConfigErrors:
             for seed in range(3):
                 harness.EvalConfig.from_json_obj(workload.config(seed))
 
+    def test_snapshot_weight_grid_mismatch_exit_2(self, tmp_path, capsys):
+        snaps = tmp_path / "snaps"
+        coarse = write_config(tmp_path, weight_grid_resolution=2)  # 6 grid weights
+        assert main(["train", "--config", str(coarse), "--mode", "generalist",
+                     "--out", str(snaps)]) == EXIT_OK
+        cfg = write_config(tmp_path)  # resolution 4: 15 grid weights
+        out = tmp_path / "e"
+        assert main(["eval", "--config", str(cfg), "--agents", str(snaps),
+                     "--out", str(out)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "6 grid weights" in err and "gives 15" in err
+        assert not (out / "report.json").exists()
+
     def test_every_context_excluded_exit_2(self, tmp_path, capsys):
         trivial = micro_context(["G..", "...", "..."], [1.0, 0.0, 0.0], "Trivial",
                                 start=(0, 1))
@@ -248,6 +261,21 @@ class TestEvalCommand:
         assert (out / "cells").is_dir()
         assert len(report["cells"]) == 4
         assert sorted(p.name for p in loads) == ["generalist_seed0.json", "generalist_seed1.json"]
+
+    @pytest.mark.parametrize("row", [[0.0, 1.0], [0.0, 1.0, 2.0, 3.0]])
+    def test_malformed_snapshot_exit_2(self, tmp_path, capsys, row):
+        cfg = write_config(tmp_path)
+        snaps = tmp_path / "snaps"
+        main(["train", "--config", str(cfg), "--mode", "generalist", "--out", str(snaps)])
+        path = snaps / "generalist_seed0.json"
+        obj = json.loads(path.read_text())
+        table = next(iter(obj["tables"].values()))
+        table[next(iter(table))] = row  # one row of the wrong length
+        path.write_text(json.dumps(obj))
+        assert main(["eval", "--config", str(cfg), "--agents", str(snaps),
+                     "--out", str(tmp_path / "o")]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "generalist_seed0.json" in err and "3 Q-values" in err
 
     @pytest.mark.parametrize("flags, message", [
         ([], "is required"),

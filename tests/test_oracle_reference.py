@@ -17,6 +17,7 @@ from morlgen.lavagrid import (
     NUM_ACTIONS,
     LavaGridContext,
     LavaGridEnv,
+    builtin_context,
     builtin_eval_contexts,
     random_layout,
 )
@@ -73,19 +74,88 @@ def lattice_entries(rng, n, span):
     return rng.integers(-span, span + 1, size=(n, 3)).astype(float)
 
 
+def assert_filter_matches_scan(entries, groups):
+    kept = _nondominated_entries(entries, groups).tolist()
+    expected = []
+    for g in np.unique(groups):
+        rows = np.flatnonzero(groups == g)
+        scan = ref._nondominated_entries([(tuple(entries[i]), int(i)) for i in rows])
+        expected.extend(i for _, i in scan)
+    assert kept == expected
+
+
 def test_filter_matches_reference_scan():
     rng = np.random.default_rng(5)
     for _ in range(200):
         n_groups = int(rng.integers(1, 6))
         groups = np.sort(rng.integers(0, n_groups, size=int(rng.integers(0, 60))))
         entries = lattice_entries(rng, len(groups), int(rng.integers(1, 4)))
-        kept = _nondominated_entries(entries, groups).tolist()
-        expected = []
-        for g in range(n_groups):
-            rows = np.flatnonzero(groups == g)
-            scan = ref._nondominated_entries([(tuple(entries[i]), int(i)) for i in rows])
-            expected.extend(i for _, i in scan)
-        assert kept == expected
+        assert_filter_matches_scan(entries, groups)
+
+
+def plane_entries(rng, n, total):
+    """Integer vectors with one coordinate sum: none dominates another."""
+    cuts = np.sort(rng.integers(0, total + 1, size=(n, 2)), axis=1)
+    return np.column_stack([cuts[:, 0], cuts[:, 1] - cuts[:, 0], total - cuts[:, 1]]).astype(float)
+
+
+def test_filter_ties_in_objective_0():
+    # Objective 0 ties everywhere; objectives 1 and 2 decide dominance and order.
+    entries = np.array(
+        [[1, 0, 5], [1, 2, 3], [1, 2, 5], [1, 1, 1], [1, 3, 0], [1, 0, 6], [1, 2, 5]],
+        dtype=float,
+    )
+    assert _nondominated_entries(entries, np.zeros(7, dtype=np.int64)).tolist() == [4, 2, 5]
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        entries = lattice_entries(rng, 40, 3)
+        entries[:, 0] = rng.integers(0, 2)
+        assert_filter_matches_scan(entries, np.sort(rng.integers(0, 3, size=40)))
+
+
+def test_filter_signed_zeros():
+    # -0.0 == 0.0: the first of two such rows is kept, whichever sign it has.
+    entries = np.array(
+        [[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [-0.0, 1.0, 0.0], [0.0, 1.0, -0.0],
+         [-0.0, -0.0, -0.0], [0.0, 0.0, 0.0]]
+    )
+    for groups in (np.zeros(6, dtype=np.int64), np.array([0, 0, 0, 1, 1, 1])):
+        assert_filter_matches_scan(entries, groups)
+        assert_filter_matches_scan(entries[::-1].copy(), groups)
+    kept = _nondominated_entries(entries, np.zeros(6, dtype=np.int64))
+    assert entries[kept].tobytes() == entries[[2, 0]].tobytes()
+
+
+def test_filter_duplicates_across_actions():
+    # A state's three actions lead to the same set: only the first action's rows stay.
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        run = plane_entries(rng, int(rng.integers(1, 20)), 12)
+        entries = np.vstack([run, run, run])
+        groups = np.zeros(len(entries), dtype=np.int64)
+        kept = _nondominated_entries(entries, groups)
+        assert kept.max() < len(run)
+        assert_filter_matches_scan(entries, groups)
+
+
+def test_filter_large_groups():
+    # Groups of 96 to 150 rows, most of them nondominated, next to small ones.
+    rng = np.random.default_rng(9)
+    for size in (96, 120, 150):
+        big = np.vstack([plane_entries(rng, size // 3, 40) for _ in range(3)])
+        small = lattice_entries(rng, 10, 2)
+        entries = np.vstack([small[:5], big, small[5:]])
+        groups = np.repeat([0, 1, 2], [5, len(big), 5])
+        assert_filter_matches_scan(entries, groups)
+        assert len(_nondominated_entries(entries, groups)) > size // 2
+
+
+def assert_prune_matches_reference(front, cap):
+    kept, eps = _prune_to_cap(front, cap)
+    expected, expected_eps = ref._prune_to_cap([(tuple(v), i) for i, v in enumerate(front)], cap)
+    assert kept == [i for _, i in expected]
+    assert eps == expected_eps
+    assert len(kept) <= cap
 
 
 def test_prune_matches_reference_bisection():
@@ -94,13 +164,27 @@ def test_prune_matches_reference_bisection():
         entries = lattice_entries(rng, int(rng.integers(2, 40)), int(rng.integers(1, 6)))
         scan = ref._nondominated_entries([(tuple(v), i) for i, v in enumerate(entries)])
         front = np.array([v for v, _ in scan])
-        cap = int(rng.integers(1, len(front) + 1))
-        kept, eps = _prune_to_cap(front, cap)
-        entries = [(tuple(v), i) for i, v in enumerate(front)]
-        expected, expected_eps = ref._prune_to_cap(entries, cap)
-        assert kept == [i for _, i in expected]
-        assert eps == expected_eps
-        assert len(kept) <= cap
+        assert_prune_matches_reference(front, int(rng.integers(1, len(front) + 1)))
+
+
+def test_prune_edge_sizes():
+    rng = np.random.default_rng(10)
+    for n in (65, 100):  # the covers bitset spans more than one 64-bit word
+        front = plane_entries(rng, n, 1000) + rng.random((n, 3))
+        for cap in (1, n // 2, n - 1):
+            assert_prune_matches_reference(front, cap)
+    for cap in (1, 5, 32):  # one row over the cap
+        assert_prune_matches_reference(plane_entries(rng, cap + 1, 50) / 7.0, cap)
+    for n, cap in ((2, 1), (5, 2), (70, 3)):  # identical rows: eps 0 keeps the first
+        assert_prune_matches_reference(np.full((n, 3), -1.5), cap)
+
+
+def test_snake_horizon_64_matches_reference():
+    ctx = builtin_context("Snake")
+    new = pareto_backward_induction(ctx, 0.995, 64, 32)
+    old = ref.reference_backward_induction(ctx, 0.995, 64, 32)
+    assert_identical(new, old)
+    assert new.exact
 
 
 def table_contexts():
