@@ -135,18 +135,22 @@ def cmd_train(args) -> int:
 
 
 def _snapshot_fronts(config, snapshot_dir: Path, kind: str):
-    """front_for_cell closure over trained snapshots, or raise InputError."""
+    """front_for_cell closure over snapshots that all exist, or raise InputError."""
+    suffix = {name: "" if kind == "generalist" else f"_{name}" for name, _ in config.contexts}
+    paths = {
+        (seed, name): snapshot_dir / f"{kind}_seed{seed}{suffix[name]}.json"
+        for seed in config.seeds
+        for name in suffix
+    }
+    for path in paths.values():
+        if not path.exists():
+            raise InputError(f"missing agent snapshot {path}")
     loaded: dict[Path, agents.TabularQ] = {}  # the last one: cells come seed by seed
     grid = config.weight_grid()
 
     def front_for_cell(seed, idx, name, ctx):
-        if kind == "generalist":
-            path = snapshot_dir / f"generalist_seed{seed}.json"
-        else:
-            path = snapshot_dir / f"specialist_seed{seed}_{name}.json"
+        path = paths[seed, name]
         if path not in loaded:
-            if not path.exists():
-                raise InputError(f"missing agent snapshot {path}")
             loaded.clear()  # before loading, so one snapshot is held at a time
             try:
                 q = agents.TabularQ.load(path)
@@ -190,6 +194,8 @@ def _write_report(report: harness.EvalReport, out_dir: Path) -> None:
 
 def cmd_eval(args) -> int:
     config, config_path = _load_config(args)
+    if args.agents is not None:  # before any output or reference front
+        front_for_cell = _snapshot_fronts(config, Path(args.agents), args.kind)
     out_dir = Path(args.out)
     _write_manifest(out_dir, "eval", config_path, config.seeds[0])
     refs = harness.make_reference_fronts(config)
@@ -198,7 +204,6 @@ def cmd_eval(args) -> int:
     elif args.random_baseline:
         report = harness.evaluate_random_baseline(config, refs)
     else:
-        front_for_cell = _snapshot_fronts(config, Path(args.agents), args.kind)
         report = harness.evaluate_custom(config, refs, args.kind, front_for_cell)
     _write_report(report, out_dir)
     _print_summary(report)

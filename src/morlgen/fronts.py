@@ -20,6 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_SIGN_BIT = np.uint64(1 << 63)
+_SCAN_STEPS = 4  # row-by-row steps of the dominance scan before it compares all pairs
+
 
 class DegenerateRangeError(ValueError):
     """Raised when a normalization range collapses (v_max_i == v_min_i)."""
@@ -64,32 +67,91 @@ def dominates(a, b) -> bool:
     return bool((av >= bv).all() and (av > bv).any())
 
 
+def _descending_keys(points: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Sort keys of (group, -p0, ..., -p{k-1}), one 8 * (k + 1)-byte string per row.
+
+    A float's bits, with the sign bit set if it is nonnegative and every
+    bit flipped if it is negative, order as the float does when read as a
+    big-endian unsigned integer. So the keys compare bytewise as the rows
+    do lexicographically, by group and then objectives descending; 0.0 - x
+    gives -0.0 and 0.0 one key, as float comparison does.
+    """
+    n, k = points.shape
+    bits = (0.0 - points).view(np.uint64)  # 0.0 - x turns both zeros into +0.0
+    keys = np.empty((n, k + 1), dtype=">u8")
+    keys[:, 0] = groups
+    keys[:, 1:] = bits ^ ((bits.view(np.int64) >> 63).view(np.uint64) | _SIGN_BIT)
+    return keys.view(f"V{8 * (k + 1)}").ravel()
+
+
+def _weakly_above(columns: list, back: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Whether each row `back` is >= its row `rows` in every one of `columns`."""
+    hit = columns[0][back] >= columns[0][rows] if columns else np.ones(len(rows), dtype=bool)
+    for column in columns[1:]:
+        hit &= column[back] >= column[rows]
+    return hit
+
+
+def _nondominated_rows(points: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """:func:`nondominated_by_group` without its input checks.
+
+    Every earlier row of a group is >= in objective 0, so only objectives
+    1 to k - 1 are compared, one column at a time (the k-D to (k-1)-D step
+    of Kung, Luccio and Preparata's maxima sort, JACM 1975). Each row is
+    compared with the rows 1, 2, ... places back until one dominates it,
+    and after a few such steps with all its earlier rows at once.
+    """
+    n = len(points)
+    order = np.argsort(_descending_keys(points, groups), kind="stable")
+    grp = groups[order]
+    rank = np.arange(n) - np.searchsorted(grp, grp)  # position within its group
+    columns = [points[order, j] for j in range(1, points.shape[1])]  # objectives 1..k-1
+    dominated = np.zeros(n, dtype=bool)
+    rows = np.flatnonzero(rank >= 1)  # rows not yet dominated, with earlier rows left
+    k = 1  # rows are next compared with the row k places back
+    while rows.size:
+        if k > _SCAN_STEPS:  # compare the rows left with all their earlier rows at once
+            todo = rank[rows] - k + 1
+            if todo.sum() <= 2 * n:  # bounds the memory of the pair arrays
+                row = np.repeat(rows, todo)
+                back = np.repeat(rows - k + np.cumsum(todo) - todo, todo) - np.arange(len(row))
+                dominated[row[_weakly_above(columns, back, row)]] = True
+                break
+        hit = _weakly_above(columns, rows - k, rows)
+        dominated[rows[hit]] = True
+        k += 1
+        rows = rows[~hit & (rank[rows] >= k)]
+    return order[~dominated]
+
+
+def nondominated_by_group(points, groups) -> np.ndarray:
+    """Nondominated, deduplicated rows of each group, in canonical order.
+
+    `points` is an (n, k) array of finite points and `groups` holds n
+    nonnegative integer group ids. Returns row indices of `points`,
+    ordered by group and, within a group, lexicographically descending
+    with ties in row order. A row is dropped when an earlier row of its
+    group is >= it in every objective, so the first of exact duplicates
+    wins. Weak dominance is transitive, so this keeps what a scan against
+    the already-kept rows keeps.
+    """
+    pts = _as_points(points)
+    grp = np.asarray(groups)
+    if grp.shape != (len(pts),) or grp.dtype.kind not in "iu" or (grp < 0).any():
+        raise ValueError(f"groups must be {len(pts)} nonnegative integers")
+    return _nondominated_rows(pts, grp)
+
+
 def nondominated_indices(points) -> list[int]:
     """Indices of the nondominated, deduplicated subset of `points`.
 
     Exact duplicates are collapsed to their first occurrence. The returned
     index list is sorted ascending, so the selection is order-stable but
-    the resulting *set* of points is permutation-invariant.
-
-    Sort-then-scan maxima filter (Kung, Luccio & Preparata, JACM 1975).
-    Visiting points in lexicographically descending order, ties by
-    ascending index, every point that dominates p and every earlier
-    duplicate of p precede p. By transitivity p is therefore dropped iff
-    some already-kept point is >= p in every objective.
+    the resulting *set* of points is permutation-invariant. This is
+    :func:`nondominated_by_group` with every point in one group.
     """
     pts = _as_points(points)
-    if pts.shape[0] == 0:
-        return []
-    order = np.lexsort(-pts.T[::-1])  # stable, so equal rows stay in index order
-    kept = np.empty_like(pts)
-    keep: list[int] = []
-    for i in order:
-        p = pts[i]
-        if not (kept[: len(keep)] >= p).all(axis=1).any():
-            kept[len(keep)] = p
-            keep.append(int(i))
-    keep.sort()
-    return keep
+    return np.sort(_nondominated_rows(pts, np.zeros(len(pts), dtype=np.int64))).tolist()
 
 
 class ParetoFront:

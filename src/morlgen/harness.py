@@ -4,8 +4,8 @@ For each (seed, context) cell: train the agent, build its approximate
 front, and score it against the context's reference front with NHGR,
 EUGR, EUM, and raw hypervolume; then aggregate the per-cell scores with
 the interquartile mean and the optimality gap. Reference fronts come from
-exact backward induction when tractable, falling back to specialist
-aggregation, with the provenance recorded. Reports serialize
+capped backward induction; a cap-bound front is unioned with a specialist
+front, and the provenance is recorded. Reports serialize
 deterministically: identical configurations reproduce byte-identical
 output.
 """
@@ -48,7 +48,7 @@ REPORT_SCHEMA_VERSION = 1
 # EvalConfig's integer fields and the least value of each.
 _INT_FIELDS = {
     "eval_episodes": 1, "eum_weight_samples": 1, "max_steps": 1, "train_episodes": 1,
-    "weight_grid_resolution": 1, "oracle_state_limit": 0, "reference_specialist_episodes": 1,
+    "weight_grid_resolution": 1, "reference_specialist_episodes": 1,
     "reference_seed": 0, "dr_width": 1, "dr_height": 1,
 }
 
@@ -75,7 +75,6 @@ class EvalConfig:
     weight_grid_resolution: int = 10
     alpha: float = 0.1
     oracle_cap: int = 32
-    oracle_state_limit: int = 2_000_000
     reference_specialist_episodes: int = 20000
     reference_seed: int = 0
     dr_width: int = 11
@@ -104,12 +103,6 @@ class EvalConfig:
         if len(lava) != 2 or not all(_is_int(n) for n in lava):
             raise ValueError(f"dr_lava_range must be two integers, got {list(lava)!r}")
         self.dr_space()  # raises ValueError unless the lava range fits the grid
-        grid_size = len(self.weight_grid())
-        if self.eval_episodes < grid_size:
-            raise ValueError(
-                f"eval_episodes ({self.eval_episodes}) is below the weight-grid "
-                f"size ({grid_size}); greedy fronts sweep every grid weight"
-            )
 
     def dr_space(self) -> LavaGridSpace:
         return LavaGridSpace(self.dr_width, self.dr_height, tuple(self.dr_lava_range))
@@ -153,34 +146,25 @@ class ReferenceFront:
     """An optimal-front estimate for one context plus its provenance."""
 
     front: ParetoFront
-    provenance: str  # oracle-exact | oracle-eps-pruned | specialist
+    provenance: str  # oracle-exact | oracle-eps-pruned
     epsilon: float = 0.0
 
 
 def make_reference_fronts(config: EvalConfig) -> dict[str, ReferenceFront]:
     """Best obtainable reference front per context, provenance recorded.
 
-    Exact backward induction is attempted when the time-expanded state
-    count fits the configured limit; a cap-bound (epsilon-pruned) result
-    is unioned with a specialist front. Oversized contexts use the
-    specialist approximation alone.
+    Backward induction runs on every context with the configured cap. A
+    cap-bound (epsilon-pruned) result is unioned with a specialist front.
     """
     refs: dict[str, ReferenceFront] = {}
     ref_stream = RandomStream(config.reference_seed, (_REFERENCE,))
     for i, (name, ctx) in enumerate(config.contexts):
-        layout = ctx.layout
-        n_goals = len(layout.goal_positions())
-        state_layers = (
-            layout.width * layout.height * 4 * (1 << n_goals) * config.max_steps
+        orf = oracle.pareto_backward_induction(
+            ctx, config.gamma, config.max_steps, cap=config.oracle_cap
         )
-        orf = None
-        if state_layers <= config.oracle_state_limit:
-            orf = oracle.pareto_backward_induction(
-                ctx, config.gamma, config.max_steps, cap=config.oracle_cap
-            )
-            if orf.exact:
-                refs[name] = ReferenceFront(orf.front, "oracle-exact")
-                continue
+        if orf.exact:
+            refs[name] = ReferenceFront(orf.front, "oracle-exact")
+            continue
         spec = oracle.specialist_front(
             ctx,
             config.reference_specialist_episodes,
@@ -190,11 +174,8 @@ def make_reference_fronts(config: EvalConfig) -> dict[str, ReferenceFront]:
             max_steps=config.max_steps,
             alpha=config.alpha,
         )
-        if orf is None:
-            refs[name] = ReferenceFront(spec, "specialist")
-        else:
-            union = pareto_filter(np.vstack([orf.front.points, spec.points]))
-            refs[name] = ReferenceFront(union, "oracle-eps-pruned", epsilon=orf.epsilon)
+        union = pareto_filter(np.vstack([orf.front.points, spec.points]))
+        refs[name] = ReferenceFront(union, "oracle-eps-pruned", epsilon=orf.epsilon)
     return refs
 
 

@@ -9,11 +9,13 @@ sequence, so fronts are replay-verifiable against the live environment.
 
 The backup runs one horizon layer at a time on the context's
 `lavagrid.state_tables` (next state, reward vector and terminal flag of
-every (state, action)). An independent brute-force enumerator over all
-action sequences provides the cross-check oracle for small horizons. When the
-per-state set size exceeds a cap, sets are thinned by epsilon-dominance
-pruning with the smallest epsilon that respects the cap, and the result
-is flagged approximate.
+every (state, action)), and filters each layer's candidates with
+`fronts.nondominated_by_group`, one group per state. An independent
+brute-force enumerator over all action sequences provides the
+cross-check oracle for small horizons. When the per-state set size
+exceeds a cap, sets are thinned by epsilon-dominance pruning with the
+smallest epsilon that respects the cap, and the result is flagged
+approximate.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import agents
-from .fronts import ParetoFront, pareto_filter
+from .fronts import ParetoFront, nondominated_by_group as _nondominated_entries, pareto_filter
 from .lavagrid import (
     ACTION_CHARS,
     NUM_ACTIONS,
@@ -35,8 +37,6 @@ from .lavagrid import (
 from .momdp import rollout
 
 MAX_ENUMERATION_HORIZON = 14
-_SIGN_BIT = np.uint64(1 << 63)
-_SCAN_STEPS = 4  # row-by-row steps of the dominance scan before it compares all pairs
 
 
 @dataclass(frozen=True)
@@ -110,61 +110,6 @@ def _prune_to_cap(entries: np.ndarray, cap: int) -> tuple[list[int], float]:
     if best is None:
         best = (_eps_prune(entries, hi, index), hi)
     return best
-
-
-def _descending_keys(entries: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """Sort keys of (group, -e0, -e1, -e2), one 32-byte string per row.
-
-    A float's bits, with the sign bit set if it is nonnegative and every
-    bit flipped if it is negative, order as the float does when read as a
-    big-endian unsigned integer. So the keys compare bytewise as the rows
-    do lexicographically, by group and then objectives descending; 0.0 - x
-    gives -0.0 and 0.0 one key, as float comparison does.
-    """
-    bits = (0.0 - entries).view(np.uint64)  # 0.0 - x turns both zeros into +0.0
-    keys = np.empty((len(entries), 4), dtype=">u8")
-    keys[:, 0] = groups
-    keys[:, 1:] = bits ^ ((bits.view(np.int64) >> 63).view(np.uint64) | _SIGN_BIT)
-    return keys.view("V32").ravel()
-
-
-def _nondominated_entries(entries: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """Nondominated, deduplicated rows of each group, in canonical order.
-
-    Returns row indices of `entries`, ordered by group and, within a group,
-    lexicographically descending with ties in row order. A row is dropped
-    when an earlier row of its group is >= it in every objective, so the
-    first of exact duplicates wins. Weak dominance is transitive, so this
-    keeps what a scan against the already-kept rows keeps.
-
-    Every earlier row of a group is >= in objective 0, so only objectives
-    1 and 2 are compared (the 3-D to 2-D step of Kung, Luccio and
-    Preparata's maxima sort). Each row is compared with the rows 1, 2, ...
-    places back until one dominates it; after a few such steps, the rows
-    left are compared with all their earlier rows at once.
-    """
-    n = len(entries)
-    order = np.argsort(_descending_keys(entries, groups), kind="stable")
-    grp = groups[order]
-    rank = np.arange(n) - np.searchsorted(grp, grp)  # position within its group
-    v1, v2 = entries[order, 1], entries[order, 2]
-    dominated = np.zeros(n, dtype=bool)
-    rows = np.flatnonzero(rank >= 1)  # rows not yet dominated, with earlier rows left
-    k = 1  # rows are next compared with the row k places back
-    while rows.size:
-        if k > _SCAN_STEPS:  # compare the rows left with all their earlier rows at once
-            todo = rank[rows] - k + 1
-            if todo.sum() <= 2 * n:  # bounds the memory of the pair arrays
-                row = np.repeat(rows, todo)
-                back = np.repeat(rows - k + np.cumsum(todo) - todo, todo) - np.arange(len(row))
-                dominated[row[(v1[back] >= v1[row]) & (v2[back] >= v2[row])]] = True
-                break
-        back = rows - k
-        hit = (v1[back] >= v1[rows]) & (v2[back] >= v2[rows])
-        dominated[rows[hit]] = True
-        k += 1
-        rows = rows[~hit & (rank[rows] >= k)]
-    return order[~dominated]
 
 
 def pareto_backward_induction(
@@ -344,7 +289,8 @@ def specialist_front(
 
     Trains weight-conditioned tabular Q-learning on the context, evaluates
     the greedy policy for every grid weight, and Pareto-filters the value
-    vectors. The fallback when exact backward induction is intractable.
+    vectors. Unioned with a cap-bound backward-induction front, it recovers
+    points that the epsilon-pruning dropped.
     """
     if episodes < 1:
         raise ValueError("training budget must be at least one episode")

@@ -100,12 +100,14 @@ class TestConfigErrors:
                      "--out", str(tmp_path / "e")]) == EXIT_INPUT_ERROR
 
     def test_unknown_key_exit_2(self, tmp_path, capsys):
-        self.assert_train_and_eval_exit_2(tmp_path, write_config(tmp_path, train_episode=1))
-        assert "train_episode" in capsys.readouterr().err
+        # oracle_state_limit was a config key; it is unknown now
+        for key in ("train_episode", "oracle_state_limit"):
+            self.assert_train_and_eval_exit_2(tmp_path, write_config(tmp_path, **{key: 1}))
+            assert key in capsys.readouterr().err
 
-    def test_eval_episodes_below_grid_size_exit_2(self, tmp_path):
-        # the micro config's resolution 4 gives 15 grid weights
-        self.assert_train_and_eval_exit_2(tmp_path, write_config(tmp_path, eval_episodes=14))
+    def test_eval_episodes_zero_exit_2(self, tmp_path, capsys):
+        self.assert_train_and_eval_exit_2(tmp_path, write_config(tmp_path, eval_episodes=0))
+        assert "eval_episodes" in capsys.readouterr().err
 
     def test_oracle_cap_below_one_exit_2(self, tmp_path, capsys):
         self.assert_train_and_eval_exit_2(tmp_path, write_config(tmp_path, oracle_cap=0))
@@ -238,11 +240,23 @@ class TestEvalCommand:
             blobs.append((out / "report.json").read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_missing_snapshot_exit_2(self, tmp_path):
-        cfg = write_config(tmp_path)
-        assert main(["eval", "--config", str(cfg), "--agents",
-                     str(tmp_path / "empty"), "--out", str(tmp_path / "o")]) \
-            == EXIT_INPUT_ERROR
+    def test_missing_snapshot_exit_2(self, tmp_path, capsys, monkeypatch):
+        # Checked before the manifest is written or any reference front computed.
+        cfg = write_config(tmp_path, seeds=[0, 1])
+        snaps = tmp_path / "snaps"
+        assert main(["train", "--config", str(cfg), "--seed", "0",
+                     "--out", str(snaps)]) == EXIT_OK  # seed 1's snapshots are missing
+
+        def no_references(config):
+            raise AssertionError("reference fronts computed")
+
+        monkeypatch.setattr(harness, "make_reference_fronts", no_references)
+        for kind in ("generalist", "specialist"):
+            out = tmp_path / kind
+            assert main(["eval", "--config", str(cfg), "--agents", str(snaps),
+                         "--kind", kind, "--out", str(out)]) == EXIT_INPUT_ERROR
+            assert f"{kind}_seed1" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_trained_agents_evaluated(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, seeds=[0, 1])

@@ -19,6 +19,7 @@ from morlgen.fronts import (
     hv_norm,
     hypervolume,
     nhgr,
+    nondominated_by_group,
     nondominated_indices,
     normalize_front,
     pareto_filter,
@@ -51,6 +52,16 @@ def brute_force_front(points):
     """Sorted nondominated point set of the brute-force oracle."""
     pts = [tuple(p) for p in points]
     return sorted(pts[i] for i in brute_force_indices(points))
+
+
+def brute_force_by_group(points, groups):
+    """The brute-force filter applied per group, in the grouped filter's order:
+    by group, then lexicographically descending, ties by index."""
+    kept = []
+    for g in np.unique(groups):
+        rows = np.flatnonzero(groups == g)
+        kept += [int(rows[i]) for i in brute_force_indices(points[rows])]
+    return sorted(kept, key=lambda i: (groups[i], tuple(-points[i]), i))
 
 
 def monte_carlo_hv(points, n, rng):
@@ -416,3 +427,34 @@ class TestSerialization:
             n = int(rng.integers(0, 101))
             pts = rng.integers(0, int(rng.integers(1, 5)), size=(n, k)).astype(float)
             assert nondominated_indices(pts) == brute_force_indices(pts)
+
+
+def grouped_cases(k, rng):
+    """(points, groups) inputs of the grouped filter with k objectives."""
+    for _ in range(100):  # integer lattices: ties, duplicates and signed zeros
+        n = int(rng.integers(0, 60))
+        pts = rng.integers(-2, 3, size=(n, k)).astype(float)
+        pts[(pts == 0) & (rng.random((n, k)) < 0.5)] = -0.0
+        yield pts, rng.integers(0, int(rng.integers(1, 5)), size=n)
+    run = rng.integers(0, 4, size=(12, k)).astype(float)
+    yield np.vstack([run, run, -run, run]), np.repeat([0, 0, 1, 1], 12)  # duplicate runs
+    # one group of 240 rows on the plane sum = 600, mostly nondominated
+    cuts = np.sort(rng.integers(0, 601, size=(240, k - 1)), axis=1)
+    plane = np.diff(np.column_stack([np.zeros(240), cuts, np.full(240, 600)]), axis=1)
+    small = rng.integers(0, 3, size=(10, k)).astype(float)
+    yield np.vstack([small[:5], plane, small[5:]]), np.repeat([2, 0, 1], [5, 240, 5])
+
+
+class TestNondominatedByGroup:
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_matches_brute_force_per_group(self, k):
+        for pts, groups in grouped_cases(k, np.random.default_rng(k)):
+            kept = nondominated_by_group(pts, groups)
+            assert kept.tolist() == brute_force_by_group(pts, groups)
+        if k > 1:
+            assert np.count_nonzero(groups[kept] == 0) > 120  # most of the plane group
+
+    @pytest.mark.parametrize("groups", [[0, 0], [0, 0, 0, 0], [0, -1, 0], [0.0, 0.0, 1.0]])
+    def test_invalid_groups(self, groups):
+        with pytest.raises(ValueError, match="groups"):
+            nondominated_by_group(np.zeros((3, 2)), np.array(groups))
