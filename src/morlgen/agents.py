@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,6 @@ from .fronts import ParetoFront, pareto_filter
 from .lavagrid import (
     DEFAULT_MAX_STEPS,
     NUM_ACTIONS,
-    CompiledContext,
     LavaGridContext,
     StateTables,
     compile_context,
@@ -85,7 +85,7 @@ class TabularQ:
             "weight_grid": [[float(x) for x in row] for row in self.weight_grid],
             "tables": {
                 str(widx): {
-                    ",".join(map(str, digest)): [float(v) for v in q]
+                    ",".join(map(str, digest)): q.tolist()
                     for digest, q in sorted(table.items())
                 }
                 for widx, table in sorted(self.tables.items())
@@ -98,18 +98,25 @@ class TabularQ:
             json.dump(self.to_json_obj(), fh, sort_keys=True, indent=1)
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "TabularQ":
+    def from_json_obj(cls, obj) -> "TabularQ":
+        """The agent of a snapshot object; ValueError names a bad or missing field."""
+        if not isinstance(obj, dict):
+            raise ValueError("a snapshot must be a JSON object")
         if obj.get("version") != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {obj.get('version')!r}")
         q = cls(
-            weight_grid=np.array(obj["weight_grid"], dtype=float),
-            alpha=float(obj["alpha"]),
-            action_count=int(obj["action_count"]),
-            episodes_trained=int(obj["episodes_trained"]),
-            metadata=dict(obj.get("metadata", {})),
+            weight_grid=_field(obj, "weight_grid", _matrix),
+            alpha=_field(obj, "alpha", float),
+            action_count=_field(obj, "action_count", int),
+            episodes_trained=_field(obj, "episodes_trained", int),
+            metadata=_field(obj, "metadata", _json_object) if "metadata" in obj else {},
         )
-        for widx_str, table in obj["tables"].items():
-            q.tables[int(widx_str)] = _parse_table(widx_str, table, q.action_count)
+        for widx, table in _field(obj, "tables", _json_object).items():
+            try:
+                index = int(widx)
+            except ValueError:
+                raise ValueError(f"snapshot table key {widx!r} is not a weight index") from None
+            q.tables[index] = _parse_table(widx, table, q.action_count)
         return q
 
     @classmethod
@@ -124,6 +131,8 @@ def _parse_table(widx: str, table: dict, action_count: int) -> dict[tuple, np.nd
     The keys and the Q-values are each parsed in one numpy call; every
     value is a row of one (states, action_count) array.
     """
+    if not isinstance(table, dict):
+        raise ValueError(f"snapshot table {widx} must be an object of states")
     if not table:
         return {}
     try:
@@ -137,6 +146,29 @@ def _parse_table(widx: str, table: dict, action_count: int) -> dict[tuple, np.nd
             f"and {action_count} Q-values"
         ) from None
     return dict(zip(map(tuple, keys.tolist()), values))
+
+
+def _field(obj: dict, name: str, convert):
+    """`convert(obj[name])`, or a ValueError that names the missing or mistyped field."""
+    if name not in obj:
+        raise ValueError(f"snapshot has no {name!r} field")
+    try:
+        return convert(obj[name])
+    except (TypeError, ValueError):
+        raise ValueError(f"snapshot field {name!r} has the wrong type or shape") from None
+
+
+def _json_object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError
+    return value
+
+
+def _matrix(value) -> np.ndarray:
+    rows = np.array(value, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError
+    return rows
 
 
 def _epsilon(episode: int, episodes: int, start: float, end: float, frac: float) -> float:
@@ -165,12 +197,14 @@ def train_scalarized_q(
     with Q <- Q + alpha * (w.r + gamma * max_a' Q' - Q).
 
     Episodes step the compiled context (`compile_context`) on integer
-    pose and mask ids. Each weight's Q-values live in a list indexed by
-    state id pose << 3 | mask (a mask has one bit per goal colour) until
-    training ends; then the visited states move into `TabularQ.tables`
-    under their (x, y, dir, mask) keys. Every w.r is the float of a numpy
-    dot product, as for the environment's reward vector, cached per
-    weight and reward.
+    pose and mask ids. Each weight's Q-values live in a dict keyed by
+    state id pose << 3 | mask (a mask has one bit per goal colour), with
+    a zero row made on a state's first visit, until training ends; then
+    the visited states move into `TabularQ.tables` under their
+    (x, y, dir, mask) keys. State ids depend on the grid width, so every
+    sampled context must share one grid size. Every w.r is the float of
+    a numpy dot product, as for the environment's reward vector, cached
+    per weight and reward.
     """
     if episodes < 1:
         raise ValueError("episodes must be at least 1")
@@ -198,30 +232,28 @@ def train_scalarized_q(
     # w.r of a step onto a plain cell and onto lava, per weight
     plain_r = [_scalarized(w, 0.0, 0.0) for w in grid]
     lava_r = [_scalarized(w, 0.0, -1.0) for w in grid]
-    store: list[list | None] = [None] * len(grid)  # per weight: Q-values by state id
+    # per weight: Q-values by state id
+    store = defaultdict(lambda: defaultdict(lambda: [0.0, 0.0, 0.0]))
     rand, randint = rng.random, rng.integers
-    size = None
     for ep in range(episodes):
         if ep == 0 or not fixed:  # a fixed context is validated and compiled once
             model = compile_context(context_source if fixed else context_source.sample(rng))
-            if size is None:
+            if ep == 0:
                 size = (model.width, model.height)
                 moves = model.next_pose.tolist()
             elif (model.width, model.height) != size:
                 raise ValueError("sampled contexts must share one grid size")
-            cell_bit, cell_goal, cell_lava = _cells(model)
+            cell_bit = model.cell_bit.tolist()
+            cell_goal = model.cell_goal.tolist()
+            cell_lava = model.cell_lava.tolist()
             full_mask = model.full_mask
             goal_r: dict[tuple[int, int], float] = {}  # (weight, cell) -> w.r
         widx = int(randint(len(grid)))
         epsilon = _epsilon(ep, episodes, eps_start, eps_end, eps_anneal_frac)
         table = store[widx]
-        if table is None:
-            table = store[widx] = [None] * (len(moves) << 3)
         r_plain, r_lava = plain_r[widx], lava_r[widx]
         pose, mask = model.start_pose, 0
         qv = table[pose << 3]
-        if qv is None:
-            qv = table[pose << 3] = [0.0, 0.0, 0.0]
         for _ in range(max_steps):
             if rand() < epsilon:
                 a = int(randint(NUM_ACTIONS))
@@ -241,19 +273,14 @@ def train_scalarized_q(
             if mask == full_mask:  # terminal: no successor entry
                 qv[a] += alpha * (r - qv[a])
                 break
-            s = pose << 3 | mask
-            nq = table[s]
-            if nq is None:
-                nq = table[s] = [0.0, 0.0, 0.0]
+            nq = table[pose << 3 | mask]
             qv[a] += alpha * (r + gamma * max(nq) - qv[a])
             qv = nq
     width = size[0]
-    for widx, table in enumerate(store):
-        if table is not None:
-            q.tables[widx] = {
-                _state_key(s >> 3, s & 7, width): np.array(table[s])
-                for s in itertools.compress(range(len(table)), table)  # visited states
-            }
+    for widx, table in sorted(store.items()):
+        q.tables[widx] = {
+            _state_key(s >> 3, s & 7, width): np.array(row) for s, row in table.items()
+        }
     q.episodes_trained = int(episodes)
     return q
 
@@ -261,11 +288,6 @@ def train_scalarized_q(
 def _scalarized(w: np.ndarray, goal: float, lava: float) -> float:
     """w.r for the reward vector (goal, lava, -1), as a numpy dot product."""
     return float(w @ np.array([goal, lava, -1.0]))
-
-
-def _cells(model: CompiledContext) -> tuple[list, list, list]:
-    """The per-cell goal bit, goal reward and lava cost tables as lists."""
-    return model.cell_bit.tolist(), model.cell_goal.tolist(), model.cell_lava.tolist()
 
 
 def _state_key(pose: int, mask: int, width: int) -> tuple[int, int, int, int]:

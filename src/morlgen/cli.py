@@ -195,7 +195,8 @@ def _write_report(report: harness.EvalReport, out_dir: Path) -> None:
 def cmd_eval(args) -> int:
     config, config_path = _load_config(args)
     if args.agents is not None:  # before any output or reference front
-        front_for_cell = _snapshot_fronts(config, Path(args.agents), args.kind)
+        kind = args.kind or "generalist"
+        front_for_cell = _snapshot_fronts(config, Path(args.agents), kind)
     out_dir = Path(args.out)
     _write_manifest(out_dir, "eval", config_path, config.seeds[0])
     refs = harness.make_reference_fronts(config)
@@ -204,7 +205,7 @@ def cmd_eval(args) -> int:
     elif args.random_baseline:
         report = harness.evaluate_random_baseline(config, refs)
     else:
-        report = harness.evaluate_custom(config, refs, args.kind, front_for_cell)
+        report = harness.evaluate_custom(config, refs, kind, front_for_cell)
     _write_report(report, out_dir)
     _print_summary(report)
     return EXIT_OK
@@ -293,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     scored.add_argument("--agents", default=None, help="snapshot directory from 'train'")
     scored.add_argument("--self-test", action="store_true", help="score the reference fronts against themselves")
     scored.add_argument("--random-baseline", action="store_true", help="score the uniform-random policy baseline")
-    p.add_argument("--kind", choices=["generalist", "specialist"], default="generalist")
+    p.add_argument("--kind", choices=["generalist", "specialist"], default=None,
+                   help="the snapshots' agent kind, with --agents only (default generalist)")
     p.add_argument("--seed", type=int, default=None, help="override config seeds")
     p.add_argument("--parallel", type=int, default=None, help="accepted; outputs are independent of it")
     p.set_defaults(func=cmd_eval)
@@ -308,6 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "eval" and args.kind is not None and args.agents is None:
+        other = "--self-test" if args.self_test else "--random-baseline"
+        parser.error(f"argument --kind: not allowed with argument {other}")
     try:
         return args.func(args)
     except InputError as exc:

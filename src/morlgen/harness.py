@@ -84,6 +84,16 @@ class EvalConfig:
     def __post_init__(self):
         if not self.contexts:
             raise ValueError("config must declare at least one context")
+        # a name keys the reference front and names snapshot and cell files
+        names = [name for name, _ in self.contexts]
+        for name in names:
+            if not (isinstance(name, str) and name and "/" not in name):
+                raise ValueError(
+                    f"context names must be nonempty strings without '/', got {name!r}"
+                )
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ValueError(f"context names must be distinct, repeated: {repeated}")
         if not self.seeds:
             raise ValueError("config must declare at least one seed")
         if not all(_is_int(seed) and seed >= 0 for seed in self.seeds):

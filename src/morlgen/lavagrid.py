@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .momdp import EpisodeOverError, Transition
-from .stats import _rng_of, sample_simplex
+from .stats import _rng_of, sample_simplex_batch
 
 EMPTY, LAVA, GOAL_GREEN, GOAL_YELLOW, GOAL_BLUE = 0, 1, 2, 3, 4
 TILE_CHARS = ".LGYB"
@@ -465,13 +465,11 @@ def random_layout(
     lo, hi = _lava_count_bounds(lava_count_range, width, height)
     lava_count = int(rng.integers(lo, hi + 1))
     chosen = rng.choice(width * height, size=lava_count + 4, replace=False)
-    tiles = np.zeros((height, width), dtype=np.int8)
-    cells = [(int(c % width), int(c // width)) for c in chosen]
-    for (x, y), code in zip(cells[1:4], GOAL_CODES):
-        tiles[y, x] = code
-    for x, y in cells[4:]:
-        tiles[y, x] = LAVA
-    return LavaGridLayout(tiles, cells[0], int(rng.integers(4)))
+    tiles = np.zeros(width * height, dtype=np.int8)  # flat: cell y * width + x
+    tiles[chosen[1:4]] = GOAL_CODES
+    tiles[chosen[4:]] = LAVA
+    y, x = divmod(int(chosen[0]), width)
+    return LavaGridLayout(tiles.reshape(height, width), (x, y), int(rng.integers(4)))
 
 
 @dataclass(frozen=True)
@@ -488,7 +486,7 @@ class LavaGridSpace:
     def sample(self, stream) -> LavaGridContext:
         rng = _rng_of(stream)
         layout = random_layout(rng, self.lava_count_range, self.width, self.height)
-        weights = sample_simplex(rng, 3)
+        weights = sample_simplex_batch(rng, 3, 1)[0]
         return LavaGridContext(layout, weights)
 
 

@@ -45,26 +45,14 @@ def _rng_of(stream) -> np.random.Generator:
     raise TypeError(f"expected RandomStream or Generator, got {type(stream)!r}")
 
 
-def sample_simplex(stream, k: int) -> np.ndarray:
-    """One point uniform on the (k-1)-simplex via sorted uniform spacings.
-
-    Draws k-1 uniforms in [0,1], sorts them, and takes consecutive gaps
-    including the endpoints 0 and 1; the gaps are the weight components.
-    The result is renormalized so the components sum to 1 exactly at
-    machine precision.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    rng = _rng_of(stream)
-    if k == 1:
-        return np.array([1.0])
-    cuts = np.sort(rng.random(k - 1))
-    w = np.diff(np.concatenate(([0.0], cuts, [1.0])))
-    return w / w.sum()
-
-
 def sample_simplex_batch(stream, k: int, n: int) -> np.ndarray:
-    """n independent uniform simplex points as an (n, k) array."""
+    """n independent points uniform on the (k-1)-simplex, as an (n, k) array.
+
+    Each row draws k-1 uniforms in [0,1], sorts them, and takes the
+    consecutive gaps including the endpoints 0 and 1. Rows are
+    renormalized so each sums to 1 at machine precision. One point is
+    `sample_simplex_batch(stream, k, 1)[0]`.
+    """
     rng = _rng_of(stream)
     if k < 1:
         raise ValueError("k must be >= 1")

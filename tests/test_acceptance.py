@@ -32,7 +32,7 @@ from morlgen.oracle import (
     pareto_backward_induction,
     replay_witness,
 )
-from morlgen.stats import RandomStream, iqm, optimality_gap, sample_simplex, sample_simplex_batch
+from morlgen.stats import RandomStream, iqm, optimality_gap, sample_simplex_batch
 
 
 def report(name):
@@ -149,7 +149,7 @@ def test_oracle_equivalence():
         size = int(rng.integers(3, 6))
         horizon = int(rng.integers(6, 9 if size == 5 else 10))
         layout = random_layout(rng, (0, size), width=size, height=size)
-        ctx = LavaGridContext(layout, sample_simplex(rng, 3))
+        ctx = LavaGridContext(layout, sample_simplex_batch(rng, 3, 1)[0])
         gamma = float(rng.uniform(0.8, 0.99))
         dp = pareto_backward_induction(ctx, gamma, horizon)
         assert dp.exact

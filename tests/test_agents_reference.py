@@ -3,7 +3,10 @@
 `agents_reference.py` holds the trainer, greedy rollout and random floor
 that stepped `LavaGridEnv`. The tests here require byte-identical
 snapshots (`to_json_obj()` as JSON text, so every float and every visited
-state key counts) and byte-identical greedy and random fronts.
+state key counts) and byte-identical greedy and random fronts. The
+domain-randomized contexts that both trainers draw from
+`LavaGridSpace.sample` are pinned on their own to the frozen per-cell
+sampler in `draws_reference.py`.
 """
 
 import json
@@ -12,6 +15,7 @@ import numpy as np
 import pytest
 
 import agents_reference as ref
+import draws_reference
 from conftest import MICRO_GAMMA, MICRO_HORIZON, micro_suite
 from morlgen.agents import (
     build_front,
@@ -20,6 +24,7 @@ from morlgen.agents import (
     weight_grid,
 )
 from morlgen.lavagrid import (
+    LAVA,
     NORTH,
     LavaGridContext,
     LavaGridEnv,
@@ -154,6 +159,27 @@ def test_rollout_arguments_checked_like_reference():
         with pytest.raises(ValueError) as old:
             ref.reference_build_front(q, GRID, ctx, args["gamma"], max_steps=args["max_steps"])
         assert str(new.value) == str(old.value)
+
+
+@pytest.mark.parametrize("space", [LavaGridSpace(11, 11, (0, 30)), LavaGridSpace(5, 3, (1, 3))],
+                         ids=["11x11", "5x3"])
+def test_domain_randomized_draws_match_reference(space):
+    """Same tiles, start pose, weight bytes and generator state, draw after draw."""
+    lava_counts = set()
+    for seed in range(1000):
+        new_rng, old_rng = RandomStream(seed, (9,)).rng(), RandomStream(seed, (9,)).rng()
+        for _ in range(3):
+            new, old = space.sample(new_rng), draws_reference.reference_sample(space, old_rng)
+            assert new.layout.tiles.dtype == old.layout.tiles.dtype
+            assert new.layout.tiles.shape == old.layout.tiles.shape
+            assert new.layout.tiles.tobytes() == old.layout.tiles.tobytes()
+            assert new.layout.agent_start == old.layout.agent_start
+            assert new.layout.agent_dir == old.layout.agent_dir
+            assert new.weights.tobytes() == old.weights.tobytes()
+            assert new_rng.bit_generator.state == old_rng.bit_generator.state
+            lava_counts.add(int((new.layout.tiles == LAVA).sum()))
+    lo, hi = space.lava_count_range
+    assert lava_counts == set(range(lo, hi + 1))
 
 
 def test_sampled_contexts_must_share_one_grid_size():

@@ -139,6 +139,24 @@ class TestConfigErrors:
         assert "Traceback" not in err
         assert key in err or "lava count range" in err
 
+    @pytest.mark.parametrize("names, message", [
+        (["ForkYG", "ForkYG"], "distinct"),
+        (["ForkYG", "Fork/GY"], "without '/'"),
+        (["ForkYG", ""], "nonempty"),
+        (["ForkYG", 5], "strings"),
+    ])
+    def test_bad_context_names_exit_2_before_any_output(self, tmp_path, capsys, names, message):
+        # a repeated name would share one reference front, snapshot and cells file
+        obj = json.loads(write_config(tmp_path).read_text())
+        for item, name in zip(obj["contexts"], names):
+            item["name"] = name
+        cfg = tmp_path / "names.json"
+        cfg.write_text(json.dumps(obj))
+        self.assert_train_and_eval_exit_2(tmp_path, cfg)
+        assert not (tmp_path / "t").exists() and not (tmp_path / "e").exists()
+        err = capsys.readouterr().err
+        assert "context names" in err and message in err
+
     def test_negative_seed_override_exit_2_before_any_work(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         for command in (["train"], ["eval", "--self-test"]):
@@ -291,11 +309,38 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "generalist_seed0.json" in err and "3 Q-values" in err
 
+    @pytest.mark.parametrize("field, edit", [
+        ("'tables'", lambda obj: {k: v for k, v in obj.items() if k != "tables"}),
+        ("'tables'", lambda obj: {**obj, "tables": []}),
+        ("table 0", lambda obj: {**obj, "tables": {**obj["tables"], "0": [[0.0, 0.0, 0.0]]}}),
+        ("'weight_grid'", lambda obj: {k: v for k, v in obj.items() if k != "weight_grid"}),
+        ("'weight_grid'", lambda obj: {**obj, "weight_grid": [1.0, 0.0]}),
+        ("'alpha'", lambda obj: {**obj, "alpha": None}),
+        ("'metadata'", lambda obj: {**obj, "metadata": []}),
+        ("JSON object", lambda obj: [obj]),
+    ])
+    def test_malformed_snapshot_field_exit_2(self, tmp_path, capsys, field, edit):
+        cfg = write_config(tmp_path)
+        snaps = tmp_path / "snaps"
+        main(["train", "--config", str(cfg), "--mode", "generalist", "--out", str(snaps)])
+        path = snaps / "generalist_seed0.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        out = tmp_path / "o"
+        assert main(["eval", "--config", str(cfg), "--agents", str(snaps),
+                     "--out", str(out)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert str(path) in err and field in err and "Traceback" not in err
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("flags, message", [
         ([], "is required"),
         (["--self-test", "--random-baseline"], "not allowed with"),
         (["--agents", "snaps", "--self-test"], "not allowed with"),
         (["--agents", "snaps", "--random-baseline"], "not allowed with"),
+        (["--kind", "generalist"], "is required"),
+        (["--self-test", "--kind", "generalist"], "not allowed with argument --self-test"),
+        (["--random-baseline", "--kind", "specialist"],
+         "not allowed with argument --random-baseline"),
     ])
     def test_one_scoring_source_required(self, tmp_path, capsys, flags, message):
         cfg = write_config(tmp_path)

@@ -20,7 +20,7 @@ from morlgen.oracle import (
     replay_witness,
     specialist_front,
 )
-from morlgen.stats import RandomStream, sample_simplex
+from morlgen.stats import RandomStream, sample_simplex_batch
 
 
 def ctx(rows, start, direction, weights, name=None):
@@ -41,7 +41,7 @@ def fronts_close(a, b, atol=1e-9):
 def random_micro_context(seed, size=4):
     rng = RandomStream(seed, (9,)).rng()
     layout = random_layout(rng, (0, 3), width=size, height=size)
-    return LavaGridContext(layout, sample_simplex(rng, 3))
+    return LavaGridContext(layout, sample_simplex_batch(rng, 3, 1)[0])
 
 
 class TestBackwardInduction:

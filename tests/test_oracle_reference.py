@@ -27,7 +27,7 @@ from morlgen.oracle import (
     _prune_to_cap,
     pareto_backward_induction,
 )
-from morlgen.stats import RandomStream, sample_simplex
+from morlgen.stats import RandomStream, sample_simplex_batch
 
 CAPS = (None, 2, 4, 8)
 
@@ -35,7 +35,7 @@ CAPS = (None, 2, 4, 8)
 def random_context(seed, size):
     rng = RandomStream(seed, (31,)).rng()
     layout = random_layout(rng, (0, size + 2), width=size, height=size)
-    return LavaGridContext(layout, sample_simplex(rng, 3))
+    return LavaGridContext(layout, sample_simplex_batch(rng, 3, 1)[0])
 
 
 def assert_identical(new, old):

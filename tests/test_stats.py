@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from draws_reference import reference_sample_simplex
 from morlgen.stats import (
     GENERATOR_ID,
     RandomStream,
     iqm,
     optimality_gap,
-    sample_simplex,
     sample_simplex_batch,
 )
 
@@ -36,17 +36,17 @@ class TestRandomStream:
 class TestSampleSimplex:
     def test_k1(self):
         for seed in range(5):
-            assert sample_simplex(RandomStream(seed), 1).tolist() == [1.0]
+            assert sample_simplex_batch(RandomStream(seed), 1, 1)[0].tolist() == [1.0]
 
     def test_invariants(self):
         for seed in range(50):
-            w = sample_simplex(RandomStream(seed), 3)
+            w = sample_simplex_batch(RandomStream(seed), 3, 1)[0]
             assert (w >= 0).all()
             assert abs(w.sum() - 1.0) < 1e-12
 
     def test_k0_error(self):
         with pytest.raises(ValueError):
-            sample_simplex(RandomStream(0), 0)
+            sample_simplex_batch(RandomStream(0), 0, 1)
 
     def test_mean_is_half_2d(self):
         w = sample_simplex_batch(RandomStream(123), 2, 1_000_000)
@@ -61,11 +61,22 @@ class TestSampleSimplex:
     def test_spacings_construction(self):
         """The sample equals the sorted-uniform-spacings of the same draws."""
         stream = RandomStream(55, (1,))
-        w = sample_simplex(stream, 4)
+        w = sample_simplex_batch(stream, 4, 1)[0]
         cuts = np.sort(stream.rng().random(3))
         expected = np.diff(np.concatenate(([0.0], cuts, [1.0])))
         expected = expected / expected.sum()
         assert np.allclose(w, expected)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_one_point_matches_frozen_sampler(self, k):
+        """A one-row batch is the former one-point sampler, bytes and generator state."""
+        for seed in range(500):
+            new_rng, old_rng = RandomStream(seed, (2,)).rng(), RandomStream(seed, (2,)).rng()
+            for _ in range(4):
+                new = sample_simplex_batch(new_rng, k, 1)[0]
+                old = reference_sample_simplex(old_rng, k)
+                assert new.shape == old.shape and new.tobytes() == old.tobytes()
+            assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
 
 class TestIqm:
