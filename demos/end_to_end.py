@@ -7,7 +7,7 @@ Run with:  python3 demos/end_to_end.py
 
 import numpy as np
 
-from morlgen import harness
+from morlgen import agents, harness
 from morlgen.lavagrid import NORTH, SOUTH, LavaGridContext, LavaGridLayout
 
 
@@ -40,7 +40,11 @@ def main() -> None:
     for name, ref in refs.items():
         print(f"reference {name}: {ref.provenance}, {len(ref.front)} points")
 
-    report = harness.evaluate_specialists(config, refs)
+    def front_for_cell(seed, idx, name, ctx):  # train the context's specialist in process
+        q = harness.train_agent(config, seed, idx)
+        return agents.build_front(q, ctx, config.gamma, max_steps=config.max_steps)
+
+    report = harness.evaluate_custom(config, refs, "specialist", front_for_cell)
     print(f"\nagent kind: {report.agent_kind}")
     for cell in report.cells:
         print(

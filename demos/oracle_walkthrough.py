@@ -23,7 +23,7 @@ def main() -> None:
     result = pareto_backward_induction(ctx, GAMMA, HORIZON)
     print(f"exact={result.exact}  points={len(result.front)}")
     print("objective order: (goal, lava, time)")
-    for point, wit in zip(result.front.points, result.witnesses):
+    for point, wit in zip(result.front.points, result.front.tags):
         print(f"  {np.round(point, 3)}  actions={wit or '(stay put)'}")
 
     # Cross-check against brute-force enumeration of every action sequence.
@@ -34,7 +34,7 @@ def main() -> None:
     print("matches exhaustive enumeration:", match)
 
     # Witnesses are executable: replaying one reproduces its value vector.
-    point, wit = result.front.points[0], result.witnesses[0]
+    point, wit = result.front.points[0], result.front.tags[0]
     replayed = replay_witness(ctx, wit, GAMMA, HORIZON)
     print(f"replayed witness '{wit}': {np.round(replayed, 3)}")
 

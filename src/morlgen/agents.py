@@ -346,17 +346,16 @@ def greedy_value_vector(
 
 def build_front(
     q: TabularQ,
-    weight_grid: np.ndarray,
     context: LavaGridContext,
     gamma: float,
     max_steps: int | None = None,
 ) -> ParetoFront:
-    """Pareto filter of the greedy value vectors over the weight grid.
+    """Pareto filter of the greedy value vectors over the agent's weight grid.
 
     Surviving points are tagged with their generating weight index.
     """
     tables = state_tables(context)
-    n = len(weight_grid)
+    n = len(q.weight_grid)
     vectors = [
         greedy_value_vector(q, widx, tables, gamma, max_steps) for widx in range(n)
     ]

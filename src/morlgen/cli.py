@@ -89,14 +89,10 @@ def _load_config(args) -> tuple[harness.EvalConfig, Path]:
 
 def cmd_oracle(args) -> int:
     ctx = _resolve_context(args.context)
+    oracle.check_arguments(args.gamma, args.horizon, args.cap)  # before any output
     out_dir = Path(args.out)
     _write_manifest(out_dir, "oracle", None, None, context=ctx.to_json_obj())
-    try:
-        result = oracle.pareto_backward_induction(
-            ctx, args.gamma, args.horizon, cap=args.cap
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    result = oracle.pareto_backward_induction(ctx, args.gamma, args.horizon, cap=args.cap)
     result.front.to_csv(out_dir / "front.csv")
     sidecar = {
         "exact": result.exact,
@@ -162,7 +158,7 @@ def _snapshot_fronts(config, snapshot_dir: Path, kind: str):
                     f"the config's weight_grid_resolution gives {len(grid)}"
                 )
             loaded[path] = q
-        return harness.greedy_front(config, loaded[path], ctx)
+        return agents.build_front(loaded[path], ctx, config.gamma, max_steps=config.max_steps)
 
     return front_for_cell
 
@@ -315,10 +311,7 @@ def main(argv=None) -> int:
         parser.error(f"argument --kind: not allowed with argument {other}")
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (ValueError, OSError) as exc:
+    except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -1,10 +1,11 @@
 """Pareto-front geometry and quality indicators for vector-valued returns.
 
-This module provides the core objective-space machinery: Pareto dominance,
-nondominated filtering, exact hypervolume via recursive objective slicing,
-min-max normalized hypervolume, the normalized hypervolume generalization
-ratio (NHGR), expected utility (EUM) and its generalization ratio (EUGR),
-and CSV/JSON serialization of fronts.
+This module provides the core objective-space machinery: nondominated
+filtering (the program's one dominance rule), exact hypervolume via
+recursive objective slicing, min-max normalized hypervolume, the
+normalized hypervolume generalization ratio (NHGR), expected utility
+(EUM), and the CSV writer and JSON array form of fronts. The EUGR ratio
+of two EUMs is taken where cells are scored, in `harness.evaluate_custom`.
 
 All operations are pure functions of their inputs and safe to call from
 multiple threads. Points are plain numpy arrays; a front is a thin
@@ -15,7 +16,6 @@ pairwise-distinct points.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,13 +58,6 @@ def _as_vector(v, dim: int | None = None) -> np.ndarray:
     if dim is not None and arr.shape[0] != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {arr.shape[0]}")
     return arr
-
-
-def dominates(a, b) -> bool:
-    """True iff a Pareto-dominates b (>= everywhere, > somewhere)."""
-    av = _as_vector(a)
-    bv = _as_vector(b, av.shape[0])
-    return bool((av >= bv).all() and (av > bv).any())
 
 
 def _descending_keys(points: np.ndarray, groups: np.ndarray) -> np.ndarray:
@@ -220,24 +213,6 @@ class ParetoFront:
             for row in pts:
                 writer.writerow([repr(float(x)) for x in row])
 
-    @classmethod
-    def from_csv(cls, path) -> "ParetoFront":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows:
-            raise ValueError("empty CSV file")
-        header = rows[0]
-        k = len(header)
-        pts = []
-        for lineno, row in enumerate(rows[1:], start=2):
-            if len(row) != k:
-                raise ValueError(f"ragged row at line {lineno}: expected {k} columns")
-            vals = [float(x) for x in row]
-            if not all(np.isfinite(vals)):
-                raise ValueError(f"non-finite value at line {lineno}")
-            pts.append(vals)
-        return pareto_filter(np.array(pts).reshape(-1, k))
-
     def to_json_obj(self) -> list[list[float]]:
         return [[float(x) for x in row] for row in self.sorted_points()]
 
@@ -254,13 +229,6 @@ class ParetoFront:
                     if not isinstance(x, (int, float)) or not np.isfinite(x):
                         raise ValueError("non-finite or non-numeric value in front JSON")
         return pareto_filter(np.array(obj, dtype=float).reshape(-1, len(obj[0]) if obj else 0))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
-    @classmethod
-    def from_json(cls, text: str) -> "ParetoFront":
-        return cls.from_json_obj(json.loads(text))
 
 
 def pareto_filter(points, tags=None) -> ParetoFront:
@@ -432,17 +400,3 @@ def eum(front, weights) -> float:
         raise ValueError("weight list must be nonempty")
     utilities = w @ pts.T
     return float(utilities.max(axis=1).mean())
-
-
-def eugr(approx, optimal, weights) -> float:
-    """Expected utility generalization ratio: eum(approx) / eum(optimal).
-
-    Fronts are not normalized; the weights are assumed to encode the
-    stakeholders' preferences directly. A zero denominator raises
-    UndefinedRatioError. Note that a negative denominator inverts the
-    ordering of the raw ratio; see :func:`eum` to inspect the sign.
-    """
-    denom = eum(optimal, weights)
-    if denom == 0.0:
-        raise UndefinedRatioError("optimal front has zero expected utility")
-    return eum(approx, weights) / denom

@@ -1,19 +1,20 @@
 """End-to-end evaluation protocol for generalist and specialist agents.
 
-For each (seed, context) cell: train the agent, build its approximate
-front, and score it against the context's reference front with NHGR,
-EUGR, EUM, and raw hypervolume; then aggregate the per-cell scores with
-the interquartile mean and the optimality gap. Reference fronts come from
-capped backward induction; a cap-bound front is unioned with a specialist
-front, and the provenance is recorded. Reports serialize
-deterministically: identical configurations reproduce byte-identical
-output.
+`train_agent` trains the agents that `morlgen train` saves. For each
+(seed, context) cell, `evaluate_custom` takes the approximate front that
+its caller gives (a saved agent's greedy front, the random floor, or the
+reference itself) and scores it against the context's reference front
+with NHGR, EUGR, EUM, and raw hypervolume; then it aggregates the
+per-cell scores with the interquartile mean and the optimality gap.
+Reference fronts come from capped backward induction; a cap-bound front
+is unioned with a specialist front, and the provenance is recorded.
+Reports serialize deterministically: identical configurations reproduce
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import numbers
 from dataclasses import dataclass, fields
@@ -189,6 +190,37 @@ def make_reference_fronts(config: EvalConfig) -> dict[str, ReferenceFront]:
     return refs
 
 
+def _is_score(value) -> bool:
+    return value is None or _is_real(value)
+
+
+# A stored cell's fields, each with what its value must be and the check of it.
+_CELL_FIELDS = {
+    "seed": ("an integer", _is_int),
+    "context": ("a string", lambda v: isinstance(v, str)),
+    "provenance": ("a string", lambda v: isinstance(v, str)),
+    "hypervolume": ("a number or null", _is_score),
+    "eum": ("a number or null", _is_score),
+    "nhgr": ("a number or null", _is_score),
+    "eugr": ("a number or null", _is_score),
+    "eugr_denominator_negative": ("a bool", lambda v: isinstance(v, bool)),
+}
+
+
+def _check_cells(cells) -> None:
+    """Raise ValueError, naming the field, unless `cells` is a list of well-formed cells."""
+    if not isinstance(cells, list):
+        raise ValueError(f"'cells' must be a list, got {type(cells).__name__}")
+    for i, cell in enumerate(cells):
+        if not isinstance(cell, dict):
+            raise ValueError(f"cell {i} must be an object, got {type(cell).__name__}")
+        for name, (what, ok) in _CELL_FIELDS.items():
+            if name not in cell:
+                raise ValueError(f"cell {i} lacks {name!r}")
+            if not ok(cell[name]):
+                raise ValueError(f"cell {i}: {name!r} must be {what}, got {cell[name]!r}")
+
+
 @dataclass
 class EvalReport:
     """Per-cell fronts and metrics plus cross-context aggregates."""
@@ -221,10 +253,13 @@ class EvalReport:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "EvalReport":
+        if not isinstance(obj, dict):
+            raise ValueError("a report must be a JSON object")
         if obj.get("schema_version") != REPORT_SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported report schema version {obj.get('schema_version')!r}"
             )
+        _check_cells(obj["cells"])
         return cls(
             agent_kind=obj["agent_kind"],
             cells=obj["cells"],
@@ -384,40 +419,6 @@ def train_agent(config: EvalConfig, seed: int, idx: int | None = None) -> agents
         alpha=config.alpha,
         max_steps=config.max_steps,
     )
-
-
-def greedy_front(
-    config: EvalConfig, q: agents.TabularQ, ctx: LavaGridContext
-) -> ParetoFront:
-    """The agent's front on `ctx`: its greedy policies over the weight grid."""
-    return agents.build_front(
-        q, config.weight_grid(), ctx, config.gamma, max_steps=config.max_steps
-    )
-
-
-def evaluate_generalist(
-    config: EvalConfig, refs: dict[str, ReferenceFront] | None = None
-) -> EvalReport:
-    """Train one domain-randomized generalist per seed and score it."""
-    refs = make_reference_fronts(config) if refs is None else refs
-    generalist = functools.cache(lambda seed: train_agent(config, seed))
-
-    def front_for_cell(seed, idx, name, ctx):
-        return greedy_front(config, generalist(seed), ctx)
-
-    return evaluate_custom(config, refs, "generalist", front_for_cell)
-
-
-def evaluate_specialists(
-    config: EvalConfig, refs: dict[str, ReferenceFront] | None = None
-) -> EvalReport:
-    """Train one fixed-context specialist per (seed, context) and score it."""
-    refs = make_reference_fronts(config) if refs is None else refs
-
-    def front_for_cell(seed, idx, name, ctx):
-        return greedy_front(config, train_agent(config, seed, idx), ctx)
-
-    return evaluate_custom(config, refs, "specialist", front_for_cell)
 
 
 def evaluate_random_baseline(

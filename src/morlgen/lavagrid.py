@@ -415,31 +415,6 @@ def render_ascii(context: LavaGridContext, env: LavaGridEnv | None = None) -> st
     return "\n".join("".join(r) for r in rows)
 
 
-def reachable_cells(layout: LavaGridLayout) -> set[tuple[int, int]]:
-    """Cells reachable from the start via in-bounds moves (BFS).
-
-    Lava is passable, so on a wall-enclosed grid this is every cell; the
-    tests use it to check that generated and builtin layouts stay solvable.
-    """
-    start = layout.agent_start
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        x, y = frontier.pop()
-        for dx, dy in DIR_DELTAS:
-            nx, ny = x + dx, y + dy
-            if 0 <= nx < layout.width and 0 <= ny < layout.height:
-                if (nx, ny) not in seen:
-                    seen.add((nx, ny))
-                    frontier.append((nx, ny))
-    return seen
-
-
-def all_goals_reachable(layout: LavaGridLayout) -> bool:
-    reach = reachable_cells(layout)
-    return all(pos in reach for pos in layout.goal_positions().values())
-
-
 def _lava_count_bounds(lava_count_range, width: int, height: int) -> tuple[int, int]:
     """The (lo, hi) lava counts, checked to leave room for goals and agent."""
     lo, hi = int(lava_count_range[0]), int(lava_count_range[1])
@@ -459,7 +434,7 @@ def random_layout(
     """Uniformly place lava, the three goals, and the agent on distinct cells.
 
     Lava is passable and the grid has no walls, so every goal is reachable
-    from the start (see `all_goals_reachable`).
+    from the start.
     """
     rng = _rng_of(stream)
     lo, hi = _lava_count_bounds(lava_count_range, width, height)

@@ -41,10 +41,9 @@ MAX_ENUMERATION_HORIZON = 14
 
 @dataclass(frozen=True)
 class OracleFront:
-    """An optimal-front estimate with per-point witness action sequences."""
+    """An optimal-front estimate; each point's tag is its witness action string."""
 
-    front: ParetoFront
-    witnesses: tuple[str, ...]  # action strings ('L','R','F'), aligned with points
+    front: ParetoFront  # tags: action strings ('L','R','F'), aligned with points
     exact: bool
     epsilon: float = 0.0  # largest pruning epsilon applied, 0 when exact
 
@@ -112,6 +111,16 @@ def _prune_to_cap(entries: np.ndarray, cap: int) -> tuple[list[int], float]:
     return best
 
 
+def check_arguments(gamma: float, horizon: int, cap: int | None) -> None:
+    """Raise ValueError unless :func:`pareto_backward_induction` accepts them."""
+    if horizon < 1:
+        raise ValueError("horizon must be positive")
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError("gamma must be in [0, 1)")
+    if cap is not None and cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
+
+
 def pareto_backward_induction(
     context: LavaGridContext,
     gamma: float,
@@ -127,12 +136,7 @@ def pareto_backward_induction(
     one array, and the candidates R + gamma * V of every (state, action)
     are filtered together. Exact whenever the per-state cap never binds.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError("gamma must be in [0, 1)")
-    if cap is not None and cap < 1:
-        raise ValueError(f"cap must be at least 1, got {cap}")
+    check_arguments(gamma, horizon, cap)
     tables = _build_tables(context)
     next_state, rewards, terminal = tables.next_state, tables.rewards, tables.terminal
 
@@ -210,10 +214,8 @@ def pareto_backward_induction(
             node = node_parent[t][node]
             t += 1
         witnesses.append("".join(chain))
-    front = pareto_filter(vectors, tags=witnesses)
     return OracleFront(
-        front=front,
-        witnesses=tuple(front.tags),
+        front=pareto_filter(vectors, tags=witnesses),
         exact=max_eps == 0.0,
         epsilon=max_eps,
     )
@@ -294,17 +296,16 @@ def specialist_front(
     """
     if episodes < 1:
         raise ValueError("training budget must be at least one episode")
-    grid = agents.weight_grid(weight_grid_resolution, 3)
     q = agents.train_scalarized_q(
         context_source=context,
-        weight_grid=grid,
+        weight_grid=agents.weight_grid(weight_grid_resolution, 3),
         episodes=episodes,
         gamma=gamma,
         stream=stream,
         alpha=alpha,
         max_steps=max_steps,
     )
-    front = agents.build_front(q, grid, context, gamma, max_steps=max_steps)
+    front = agents.build_front(q, context, gamma, max_steps=max_steps)
     if len(front) == 0:
         raise RuntimeError("specialist training produced an empty front")
     return front

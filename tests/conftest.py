@@ -18,6 +18,11 @@ MICRO_GAMMA = 0.95
 MICRO_HORIZON = 12
 
 
+def dominates(a, b):
+    """Test-side Pareto dominance: a >= b everywhere and > somewhere."""
+    return bool(np.all(np.asarray(a) >= b) and np.any(np.asarray(a) > b))
+
+
 def micro_context(rows, weights, name, start=(2, 1), direction=NORTH):
     layout = LavaGridLayout.from_strings(rows, start, direction)
     ctx = LavaGridContext(layout, np.array(weights, dtype=float), name=name)

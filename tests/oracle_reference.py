@@ -1,7 +1,8 @@
 """Frozen per-state reference for `morlgen.oracle.pareto_backward_induction`.
 
 This is the oracle's original pure-Python dynamic program, unchanged but
-for the entry point's name (`reference_backward_induction`). It builds the
+for the entry point's name (`reference_backward_induction`) and the
+`OracleFront` it returns, whose front's tags are the witnesses. It builds the
 tables with a loop over every (state, action), backs up one state at a
 time, filters each state's candidates with a greedy scan over sorted
 tuples, and prunes cap-bound states with the same epsilon bisection.
@@ -186,10 +187,8 @@ def reference_backward_induction(
             a, node = node
             actions.append(ACTION_CHARS[a])
         witnesses.append("".join(actions))
-    front = pareto_filter(vectors, tags=witnesses)
     return OracleFront(
-        front=front,
-        witnesses=tuple(front.tags),
+        front=pareto_filter(vectors, tags=witnesses),
         exact=max_eps == 0.0,
         epsilon=max_eps,
     )

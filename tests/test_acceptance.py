@@ -6,13 +6,16 @@ oracles (rectangle sweep, Monte Carlo, exhaustive enumeration, analytic
 integrals) rather than from the code under test.
 """
 
+import json
 import time
 
 import numpy as np
 import pytest
 
 from conftest import MICRO_GAMMA, MICRO_HORIZON, micro_config
+from test_lavagrid import bfs_reachable
 from morlgen import harness
+from morlgen.cli import main
 from morlgen.fronts import (
     FrontBounds,
     eum,
@@ -23,7 +26,6 @@ from morlgen.fronts import (
 )
 from morlgen.lavagrid import (
     LavaGridContext,
-    all_goals_reachable,
     builtin_eval_contexts,
     random_layout,
 )
@@ -158,7 +160,7 @@ def test_oracle_equivalence():
         b = bf.sorted_points()
         assert a.shape == b.shape, seed
         assert np.allclose(a, b, atol=1e-9, rtol=0.0), seed
-        for point, wit in zip(dp.front.points, dp.witnesses):
+        for point, wit in zip(dp.front.points, dp.front.tags):
             replayed = replay_witness(ctx, wit, gamma, horizon)
             assert np.allclose(replayed, point, atol=1e-9), seed
     elapsed = time.time() - t0
@@ -173,19 +175,31 @@ def test_aggregation_exact():
 
 
 @pytest.fixture(scope="module")
-def micro_reports():
-    """Specialist, generalist, and random-baseline reports on the micro suite."""
-    cfg = micro_config()
-    refs = harness.make_reference_fronts(cfg)
-    for name in refs:
-        assert refs[name].provenance == "oracle-exact", name
-    return {
-        "config": cfg,
-        "refs": refs,
-        "specialist": harness.evaluate_specialists(cfg, refs),
-        "generalist": harness.evaluate_generalist(cfg, refs),
-        "random": harness.evaluate_random_baseline(cfg, refs),
+def micro_reports(tmp_path_factory):
+    """Specialist, generalist, and random-baseline reports on the micro suite.
+
+    Made as a user makes them: `morlgen train`, then one `morlgen eval`
+    per kind, each report read back from its report.json.
+    """
+    root = tmp_path_factory.mktemp("micro")
+    cfg = root / "config.json"
+    cfg.write_text(json.dumps(micro_config().to_json_obj()))
+    snaps = str(root / "snapshots")
+    assert main(["train", "--config", str(cfg), "--out", snaps]) == 0
+    scored = {
+        "specialist": ["--agents", snaps, "--kind", "specialist"],
+        "generalist": ["--agents", snaps, "--kind", "generalist"],
+        "random": ["--random-baseline"],
     }
+    reports = {}
+    for kind, flags in scored.items():
+        out = root / kind
+        assert main(["eval", "--config", str(cfg), "--out", str(out), *flags]) == 0
+        obj = json.loads((out / "report.json").read_text())
+        reports[kind] = harness.EvalReport.from_json_obj(obj)
+        for name, ref in reports[kind].reference_fronts.items():
+            assert ref["provenance"] == "oracle-exact", name
+    return reports
 
 
 def test_end_to_end_specialist(micro_reports):
@@ -224,10 +238,6 @@ def test_generalization_gap_ordering(micro_reports):
 
 def test_determinism(tmp_path):
     """cmd_eval reruns are byte-identical; --parallel never changes outputs."""
-    import json
-
-    from morlgen.cli import main
-
     cfg = micro_config(seeds=[0], train_episodes=200)
     obj = cfg.to_json_obj()
     obj["contexts"] = obj["contexts"][:2]
@@ -262,5 +272,5 @@ def test_builtin_contexts():
     for name, ctx in contexts:
         assert tuple(ctx.weights) == pytest.approx(table3[name], abs=1e-12), name
         ctx.validate()
-        assert all_goals_reachable(ctx.layout), name
+        assert set(ctx.layout.goal_positions().values()) <= bfs_reachable(ctx.layout), name
     report("builtin-contexts")

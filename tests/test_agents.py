@@ -148,14 +148,14 @@ class TestBuildFront:
         grid = weight_grid(1, 3)[:1]
         q = train_scalarized_q(TWO_GOALS, grid, 200, 0.9, RandomStream(2, (0,)),
                                max_steps=8)
-        front = build_front(q, grid, TWO_GOALS, 0.9, max_steps=8)
+        front = build_front(q, TWO_GOALS, 0.9, max_steps=8)
         assert len(front) <= 1
 
     def test_tags_are_weight_indices(self):
         grid = weight_grid(4, 3)
         q = train_scalarized_q(TWO_GOALS, grid, 2000, 0.9, RandomStream(3, (0,)),
                                max_steps=8)
-        front = build_front(q, grid, TWO_GOALS, 0.9, max_steps=8)
+        front = build_front(q, TWO_GOALS, 0.9, max_steps=8)
         assert all(isinstance(t, int) and 0 <= t < len(grid) for t in front.tags)
 
     def test_scalarization_consistency(self):
@@ -166,7 +166,7 @@ class TestBuildFront:
             greedy_value_vector(q, widx, state_tables(TWO_GOALS), 0.9, max_steps=8)
             for widx in range(len(grid))
         ]
-        front = build_front(q, grid, TWO_GOALS, 0.9, max_steps=8)
+        front = build_front(q, TWO_GOALS, 0.9, max_steps=8)
         for point, widx in zip(front.points, front.tags):
             w = grid[widx]
             best = max(float(w @ v) for v in vectors)

@@ -71,7 +71,7 @@ def test_micro_specialists_match_reference(eps):
     for seed, (name, ctx) in enumerate(MICRO):
         q = assert_same_training(ctx, 300, seed, max_steps=MICRO_HORIZON, **EPSILONS[eps])
         assert_same_front(
-            build_front(q, GRID, ctx, MICRO_GAMMA, max_steps=MICRO_HORIZON),
+            build_front(q, ctx, MICRO_GAMMA, max_steps=MICRO_HORIZON),
             ref.reference_build_front(q, GRID, ctx, MICRO_GAMMA, max_steps=MICRO_HORIZON),
         )
 
@@ -107,7 +107,7 @@ def test_terminal_episodes_match_reference(eps, monkeypatch):
     assert ends["terminal"] > 0 and ends["truncated"] > 0
     for max_steps in (1, 4):
         assert_same_front(
-            build_front(q, GRID, ONE_STEP, 0.9, max_steps=max_steps),
+            build_front(q, ONE_STEP, 0.9, max_steps=max_steps),
             ref.reference_build_front(q, GRID, ONE_STEP, 0.9, max_steps=max_steps),
         )
 
@@ -129,7 +129,7 @@ def test_builtin_fronts_match_reference():
     for max_steps in (1, 2, 28, 64):
         for idx, ctx in enumerate(front_contexts()):
             assert_same_front(
-                build_front(q, GRID, ctx, gamma, max_steps=max_steps),
+                build_front(q, ctx, gamma, max_steps=max_steps),
                 ref.reference_build_front(q, GRID, ctx, gamma, max_steps=max_steps),
             )
             stream = RandomStream(idx, (3,))
@@ -155,7 +155,7 @@ def test_rollout_arguments_checked_like_reference():
     for kwargs in ({"gamma": 1.0}, {"gamma": -0.1}, {"max_steps": 0}):
         args = {"gamma": MICRO_GAMMA, "max_steps": MICRO_HORIZON, **kwargs}
         with pytest.raises(ValueError) as new:
-            build_front(q, GRID, ctx, args["gamma"], max_steps=args["max_steps"])
+            build_front(q, ctx, args["gamma"], max_steps=args["max_steps"])
         with pytest.raises(ValueError) as old:
             ref.reference_build_front(q, GRID, ctx, args["gamma"], max_steps=args["max_steps"])
         assert str(new.value) == str(old.value)

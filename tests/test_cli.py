@@ -11,7 +11,6 @@ import pytest
 from conftest import micro_config, micro_context, micro_suite
 from morlgen import agents, harness
 from morlgen.cli import EXIT_APPROXIMATE, EXIT_INPUT_ERROR, EXIT_OK, main
-from morlgen.fronts import ParetoFront
 from morlgen.oracle import enumerate_returns
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -67,10 +66,8 @@ class TestOracleCommand:
         code = main(["oracle", str(path), "--gamma", "0.95", "--horizon", "9",
                      "--out", str(out)])
         assert code == EXIT_OK
-        front = ParetoFront.from_csv(out / "front.csv")
-        expected = enumerate_returns(ctx, 0.95, 9)
-        a = front.sorted_points()
-        b = expected.sorted_points()
+        a = np.loadtxt(out / "front.csv", delimiter=",", skiprows=1, ndmin=2)
+        b = enumerate_returns(ctx, 0.95, 9).sorted_points()
         assert a.shape == b.shape and np.allclose(a, b, atol=1e-9)
 
     def test_cap_bound_exit_3(self, tmp_path):
@@ -83,13 +80,23 @@ class TestOracleCommand:
         assert sidecar["exact"] is False
         assert sidecar["epsilon"] > 0
 
+    @staticmethod
+    def assert_exit_2_before_any_output(tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        assert main(["oracle", "Maze", "--horizon", "6", flag, value,
+                     "--out", str(out)]) == EXIT_INPUT_ERROR
+        assert flag[2:] in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("cap", ["0", "-3"])
     def test_cap_below_one_exit_2(self, tmp_path, capsys, cap):
-        out = tmp_path / "out"
-        assert main(["oracle", "Maze", "--horizon", "6", "--cap", cap,
-                     "--out", str(out)]) == EXIT_INPUT_ERROR
-        assert "cap" in capsys.readouterr().err
-        assert not (out / "front.csv").exists()
+        self.assert_exit_2_before_any_output(tmp_path, capsys, "--cap", cap)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--gamma", "1.5"), ("--gamma", "-0.1"), ("--gamma", "nan"), ("--horizon", "0"),
+    ])
+    def test_gamma_or_horizon_out_of_range_exit_2(self, tmp_path, capsys, flag, value):
+        self.assert_exit_2_before_any_output(tmp_path, capsys, flag, value)
 
 
 class TestConfigErrors:
@@ -352,24 +359,6 @@ class TestEvalCommand:
         assert not out.exists()
 
 
-class TestCliMatchesHarness:
-    def test_reports_byte_identical(self, tmp_path):
-        cfg = micro_config(seeds=[0, 1], train_episodes=300)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(cfg.to_json_obj()))
-        snaps = tmp_path / "snaps"
-        assert main(["train", "--config", str(path), "--out", str(snaps)]) == EXIT_OK
-        refs = harness.make_reference_fronts(cfg)
-        for kind, evaluate in (
-            ("generalist", harness.evaluate_generalist),
-            ("specialist", harness.evaluate_specialists),
-        ):
-            out = tmp_path / kind
-            assert main(["eval", "--config", str(path), "--agents", str(snaps),
-                         "--kind", kind, "--out", str(out)]) == EXIT_OK
-            assert (out / "report.json").read_text() == evaluate(cfg, refs).to_json()
-
-
 class TestReportCommand:
     def make_report(self, tmp_path, **overrides):
         cfg = write_config(tmp_path, **overrides)
@@ -398,6 +387,29 @@ class TestReportCommand:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
         assert main(["report", str(bad)]) == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda obj: obj["cells"][0].pop("context"), "lacks 'context'"),
+        (lambda obj: obj["cells"][0].update(nhgr="high"), "'nhgr' must be a number or null"),
+        (lambda obj: obj.update(cells="notalist"), "'cells' must be a list"),
+        (lambda obj: obj["cells"].append(7), "must be an object, got int"),
+        (lambda obj: obj["cells"][0].update(eugr_denominator_negative=0), "must be a bool"),
+    ], ids=["no-context", "text-nhgr", "cells-not-a-list", "cell-not-an-object", "int-flag"])
+    def test_malformed_cell_exit_2(self, tmp_path, capsys, edit, message):
+        path = self.make_report(tmp_path)
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["report", str(path)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_not_an_object_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        assert main(["report", str(path)]) == EXIT_INPUT_ERROR
+        assert "JSON object" in capsys.readouterr().err
 
     def test_rendered_aggregates_match_recomputation(self, tmp_path, capsys):
         path = self.make_report(tmp_path)

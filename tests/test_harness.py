@@ -11,7 +11,7 @@ from morlgen.fronts import hypervolume, pareto_filter
 from morlgen.harness import (
     EvalConfig,
     EvalReport,
-    evaluate_generalist,
+    evaluate_custom,
     evaluate_random_baseline,
     evaluate_reference_self_test,
     make_reference_fronts,
@@ -142,14 +142,14 @@ class TestSelfTest:
         assert "Trivial" in report.excluded_contexts
         assert all(c["context"] != "Trivial" for c in report.cells)
 
-    def test_every_context_excluded_raises_before_training(self, monkeypatch):
-        def no_training(*args, **kwargs):
-            raise AssertionError("trained an agent")
+    def test_every_context_excluded_raises_before_training(self):
+        def no_cell(*args):
+            raise AssertionError("asked for an agent's front")
 
-        monkeypatch.setattr(agents, "train_scalarized_q", no_training)
         cfg = tiny_config(contexts=[("Trivial", trivial_context())])
+        refs = make_reference_fronts(cfg)
         with pytest.raises(ValueError, match="Trivial"):
-            evaluate_generalist(cfg)
+            evaluate_custom(cfg, refs, "generalist", no_cell)
         with pytest.raises(ValueError, match="Trivial"):
             evaluate_reference_self_test(cfg)
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from morlgen.fronts import FrontBounds, dominates, hypervolume, nhgr, pareto_filter
+from conftest import dominates
+from morlgen.fronts import FrontBounds, hypervolume, nhgr, pareto_filter
 from morlgen.lavagrid import (
     EAST,
     GOAL_REWARD,
@@ -111,7 +112,7 @@ class TestWitnesses:
         for seed in range(5):
             c = random_micro_context(seed)
             dp = pareto_backward_induction(c, 0.9, 7)
-            for point, wit in zip(dp.front.points, dp.witnesses):
+            for point, wit in zip(dp.front.points, dp.front.tags):
                 assert np.allclose(replay_witness(c, wit, 0.9, 7), point, atol=1e-12)
 
     def test_empty_witness_is_zero_return(self):

@@ -41,7 +41,6 @@ def random_context(seed, size):
 def assert_identical(new, old):
     assert new.front.points.shape == old.front.points.shape
     assert new.front.points.tobytes() == old.front.points.tobytes()
-    assert new.witnesses == old.witnesses
     assert tuple(new.front.tags) == tuple(old.front.tags)
     assert new.exact == old.exact
     assert new.epsilon == old.epsilon
