@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -76,13 +78,20 @@ class TabularQ:
 
     # -- snapshots --------------------------------------------------------
 
-    def to_json_obj(self) -> dict:
+    def _head(self) -> dict:
+        """The snapshot object without its tables."""
         return {
             "version": SNAPSHOT_VERSION,
             "alpha": self.alpha,
             "action_count": self.action_count,
             "episodes_trained": self.episodes_trained,
             "weight_grid": [[float(x) for x in row] for row in self.weight_grid],
+            "metadata": dict(sorted(self.metadata.items())),
+        }
+
+    def to_json_obj(self) -> dict:
+        return {
+            **self._head(),
             "tables": {
                 str(widx): {
                     ",".join(map(str, digest)): q.tolist()
@@ -90,28 +99,43 @@ class TabularQ:
                 }
                 for widx, table in sorted(self.tables.items())
             },
-            "metadata": dict(sorted(self.metadata.items())),
         }
 
     def save(self, path) -> None:
+        """Write the text of `json.dump(self.to_json_obj(), fh, sort_keys=True, indent=1)`.
+
+        `json.dumps` renders the small fields around an empty `tables`; each
+        weight table is then formatted as one string and written in one
+        call, so the text of one table at a time is held.
+        """
+        text = json.dumps({**self._head(), "tables": {}}, sort_keys=True, indent=1)
+        head, tail = text.split('\n "tables": {}', 1)  # the one key at indent 1
         with open(path, "w") as fh:
-            json.dump(self.to_json_obj(), fh, sort_keys=True, indent=1)
+            fh.write(head + '\n "tables": {')
+            sep = "\n"
+            for widx, table in sorted(self.tables.items(), key=lambda item: str(item[0])):
+                fh.write(f'{sep}  "{widx}": {_table_text(table)}')
+                sep = ",\n"
+            fh.write(("\n }" if self.tables else "}") + tail)
 
     @classmethod
     def from_json_obj(cls, obj) -> "TabularQ":
         """The agent of a snapshot object; ValueError names a bad or missing field."""
         if not isinstance(obj, dict):
             raise ValueError("a snapshot must be a JSON object")
-        if obj.get("version") != SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported snapshot version {obj.get('version')!r}")
+        version = obj.get("version")
+        if not (_is_int(version) and version == SNAPSHOT_VERSION):
+            raise ValueError(f"unsupported snapshot version {version!r}")
         q = cls(
-            weight_grid=_field(obj, "weight_grid", _matrix),
-            alpha=_field(obj, "alpha", float),
-            action_count=_field(obj, "action_count", int),
-            episodes_trained=_field(obj, "episodes_trained", int),
-            metadata=_field(obj, "metadata", _json_object) if "metadata" in obj else {},
+            weight_grid=_field(obj, "weight_grid", _matrix, "a 2-D array of numbers"),
+            alpha=_field(obj, "alpha", _alpha, "a number in (0, 1]"),
+            action_count=_field(obj, "action_count", _action_count, f"the integer {NUM_ACTIONS}"),
+            episodes_trained=_field(obj, "episodes_trained", _count, "a non-negative integer"),
+            metadata=(
+                _field(obj, "metadata", _json_object, "an object") if "metadata" in obj else {}
+            ),
         )
-        for widx, table in _field(obj, "tables", _json_object).items():
+        for widx, table in _field(obj, "tables", _json_object, "an object").items():
             try:
                 index = int(widx)
             except ValueError:
@@ -123,6 +147,28 @@ class TabularQ:
     def load(cls, path) -> "TabularQ":
         with open(path) as fh:
             return cls.from_json_obj(json.load(fh))
+
+
+def _table_text(table: dict[tuple, np.ndarray]) -> str:
+    """One weight table as `json.dump(..., sort_keys=True, indent=1)` writes it at depth 2.
+
+    States are ordered by their key strings, as json's `sort_keys` orders
+    them. Q-values are written by `repr`, as json writes floats; a finite
+    float's repr has no letter n, so only a table holding NaN or an
+    infinity needs json's names for them.
+    """
+    if not table:
+        return "{}"
+    rows = sorted(
+        ((",".join(map(str, digest)), q) for digest, q in table.items()), key=itemgetter(0)
+    )
+    text = ",\n".join(
+        f'   "{key}": [\n    ' + ",\n    ".join(map(repr, q.tolist())) + "\n   ]"
+        for key, q in rows
+    )
+    if "n" in text:
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return "{\n" + text + "\n  }"
 
 
 def _parse_table(widx: str, table: dict, action_count: int) -> dict[tuple, np.ndarray]:
@@ -148,14 +194,24 @@ def _parse_table(widx: str, table: dict, action_count: int) -> dict[tuple, np.nd
     return dict(zip(map(tuple, keys.tolist()), values))
 
 
-def _field(obj: dict, name: str, convert):
-    """`convert(obj[name])`, or a ValueError that names the missing or mistyped field."""
+def _field(obj: dict, name: str, convert, expected: str):
+    """`convert(obj[name])`, or a ValueError that names the missing or bad field."""
     if name not in obj:
         raise ValueError(f"snapshot has no {name!r} field")
     try:
         return convert(obj[name])
     except (TypeError, ValueError):
-        raise ValueError(f"snapshot field {name!r} has the wrong type or shape") from None
+        raise ValueError(
+            f"snapshot field {name!r} must be {expected}, got {obj[name]!r:.40}"
+        ) from None
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _json_object(value) -> dict:
@@ -165,10 +221,32 @@ def _json_object(value) -> dict:
 
 
 def _matrix(value) -> np.ndarray:
+    if not isinstance(value, list) or not all(
+        isinstance(row, list) and all(map(_is_real, row)) for row in value
+    ):
+        raise TypeError
     rows = np.array(value, dtype=float)
     if rows.ndim != 2:
         raise ValueError
     return rows
+
+
+def _alpha(value) -> float:
+    if not (_is_real(value) and 0.0 < value <= 1.0):
+        raise ValueError
+    return float(value)
+
+
+def _action_count(value) -> int:
+    if not (_is_int(value) and value == NUM_ACTIONS):
+        raise ValueError
+    return value
+
+
+def _count(value) -> int:
+    if not (_is_int(value) and value >= 0):
+        raise ValueError
+    return value
 
 
 def _epsilon(episode: int, episodes: int, start: float, end: float, frac: float) -> float:

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import __version__, agents, oracle
+from .agents import _is_int, _is_real
 from .fronts import (
     FrontBounds,
     ParetoFront,
@@ -52,14 +52,6 @@ _INT_FIELDS = {
     "weight_grid_resolution": 1, "reference_specialist_episodes": 1,
     "reference_seed": 0, "dr_width": 1, "dr_height": 1,
 }
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass

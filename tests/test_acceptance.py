@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import MICRO_GAMMA, MICRO_HORIZON, micro_config
+from conftest import micro_config
 from test_lavagrid import bfs_reachable
 from morlgen import harness
 from morlgen.cli import main

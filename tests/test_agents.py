@@ -1,10 +1,12 @@
 """Tests for tabular scalarized Q-learning and the random-policy baseline."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from conftest import micro_suite
 from morlgen.agents import (
     TabularQ,
     build_front,
@@ -20,6 +22,7 @@ from morlgen.lavagrid import (
     LavaGridContext,
     LavaGridEnv,
     LavaGridLayout,
+    LavaGridSpace,
     state_tables,
 )
 from morlgen.oracle import pareto_backward_induction
@@ -215,6 +218,39 @@ class TestSnapshots:
                 table[key] = table[key][:2]
         with pytest.raises(ValueError, match="3 Q-values"):
             TabularQ.from_json_obj(obj)
+
+    @pytest.mark.parametrize("agent", ["micro_specialist", "generalist_11x11", "empty_table",
+                                       "no_tables", "non_finite"])
+    def test_save_writes_json_dump_text(self, tmp_path, agent):
+        """`save` writes json's own text; loading it back keeps every Q-value's bits."""
+        if agent == "micro_specialist":
+            q = train_scalarized_q(micro_suite()[0][1], weight_grid(4, 3), 400, 0.95,
+                                   RandomStream(12, (0,)), max_steps=12)
+        elif agent == "generalist_11x11":
+            q = train_scalarized_q(LavaGridSpace(), weight_grid(10, 3), 300, 0.995,
+                                   RandomStream(13, (0,)), max_steps=28)
+            assert len(q.tables) >= 10
+            assert max(max(digest[:2]) for table in q.tables.values() for digest in table) >= 10
+        else:
+            q = train_scalarized_q(TWO_GOALS, weight_grid(2, 3), 50, 0.9,
+                                   RandomStream(14, (0,)), max_steps=8)
+            q.tables[max(q.tables)] = {}
+            if agent == "no_tables":
+                q.tables.clear()
+            elif agent == "non_finite":
+                table = q.tables[min(q.tables)]
+                rows = sorted(table)
+                table[rows[0]] = np.array([np.nan, np.inf, -np.inf])
+                table[rows[-1]] = np.array([-np.inf, 1e-300, -0.0])
+        path = tmp_path / "agent.json"
+        q.save(path)
+        assert path.read_text() == json.dumps(q.to_json_obj(), sort_keys=True, indent=1)
+        q2 = TabularQ.load(path)
+        assert q2.tables.keys() == q.tables.keys()
+        for widx, table in q.tables.items():
+            assert q2.tables[widx].keys() == table.keys()
+            for digest, values in table.items():
+                assert q2.tables[widx][digest].tobytes() == values.tobytes()
 
     def test_version_mismatch(self):
         with pytest.raises(ValueError):

@@ -325,6 +325,27 @@ class TestEvalCommand:
         ("'alpha'", lambda obj: {**obj, "alpha": None}),
         ("'metadata'", lambda obj: {**obj, "metadata": []}),
         ("JSON object", lambda obj: [obj]),
+        pytest.param("'action_count'", lambda obj: {**obj, "action_count": 4, "tables": {
+            w: {key: row + [0.0] for key, row in table.items()}
+            for w, table in obj["tables"].items()}}, id="action_count 4, rows of 4"),
+        pytest.param("'action_count'", lambda obj: {**obj, "action_count": 3.7},
+                     id="action_count 3.7"),
+        pytest.param("'action_count'", lambda obj: {**obj, "action_count": "3"},
+                     id="action_count text"),
+        pytest.param("'episodes_trained'", lambda obj: {**obj, "episodes_trained": -5},
+                     id="episodes_trained negative"),
+        pytest.param("'episodes_trained'", lambda obj: {**obj, "episodes_trained": 3.7},
+                     id="episodes_trained 3.7"),
+        pytest.param("'episodes_trained'", lambda obj: {**obj, "episodes_trained": True},
+                     id="episodes_trained bool"),
+        pytest.param("'alpha'", lambda obj: {**obj, "alpha": "0.1"}, id="alpha text"),
+        pytest.param("'alpha'", lambda obj: {**obj, "alpha": True}, id="alpha bool"),
+        pytest.param("'alpha'", lambda obj: {**obj, "alpha": -1.0}, id="alpha negative"),
+        pytest.param("'weight_grid'", lambda obj: {**obj, "weight_grid": [
+            [str(x) for x in row] for row in obj["weight_grid"]]}, id="weight_grid text"),
+        pytest.param("'weight_grid'", lambda obj: {**obj, "weight_grid": [
+            [True, False, False], *obj["weight_grid"][1:]]}, id="weight_grid bool"),
+        pytest.param("version", lambda obj: {**obj, "version": True}, id="version bool"),
     ])
     def test_malformed_snapshot_field_exit_2(self, tmp_path, capsys, field, edit):
         cfg = write_config(tmp_path)

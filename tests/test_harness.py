@@ -7,7 +7,7 @@ import pytest
 
 from conftest import MICRO_GAMMA, MICRO_HORIZON, micro_config, micro_context, micro_suite
 from morlgen import agents
-from morlgen.fronts import hypervolume, pareto_filter
+from morlgen.fronts import hypervolume
 from morlgen.harness import (
     EvalConfig,
     EvalReport,

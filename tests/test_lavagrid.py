@@ -12,7 +12,6 @@ from morlgen.lavagrid import (
     GOAL_REWARD,
     GOAL_YELLOW,
     NORTH,
-    SOUTH,
     TURN_LEFT,
     TURN_RIGHT,
     WEST,

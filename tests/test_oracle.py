@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import dominates
-from morlgen.fronts import FrontBounds, hypervolume, nhgr, pareto_filter
+from morlgen.fronts import hypervolume, nhgr
 from morlgen.lavagrid import (
     EAST,
     GOAL_REWARD,
