@@ -7,10 +7,12 @@ own Q-table over the dynamic episode state (position, orientation,
 collected-goals mask), and rewards are scalarized with that weight during
 training. Greedy evaluation recovers the underlying vector returns, whose
 Pareto filter is the agent's front. A uniform-random-policy floor
-baseline rounds out the module. Training steps the compiled context
-(`lavagrid.compile_context`); greedy and random rollouts step the
-context's (state, action) tables (`lavagrid.state_tables`), which the
-oracle backs up too. None of them steps the environment.
+baseline rounds out the module. Training steps per-cell lists (those of
+`lavagrid.compile_context`, or of a domain-randomized draw); greedy and
+random rollouts step the context's (state, action) tables
+(`lavagrid.state_tables`), which the oracle backs up too. None of them
+steps the environment. Training and the random floor replay their
+generator's draws on its raw words (`stats.WordReplay`).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import numbers
+import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -31,9 +34,10 @@ from .lavagrid import (
     LavaGridContext,
     StateTables,
     compile_context,
+    pose_geometry,
     state_tables,
 )
-from .stats import GENERATOR_ID, _rng_of
+from .stats import GENERATOR_ID, WordReplay, _rng_of
 
 SNAPSHOT_VERSION = 1
 
@@ -135,12 +139,13 @@ class TabularQ:
                 _field(obj, "metadata", _json_object, "an object") if "metadata" in obj else {}
             ),
         )
+        indices = {str(i): i for i in range(len(q.weight_grid))}
         for widx, table in _field(obj, "tables", _json_object, "an object").items():
-            try:
-                index = int(widx)
-            except ValueError:
-                raise ValueError(f"snapshot table key {widx!r} is not a weight index") from None
-            q.tables[index] = _parse_table(widx, table, q.action_count)
+            if widx not in indices:
+                raise ValueError(
+                    f"snapshot table key {widx!r} is not a weight index 0 to {len(indices) - 1}"
+                )
+            q.tables[indices[widx]] = _parse_table(widx, table, q.action_count)
         return q
 
     @classmethod
@@ -171,22 +176,36 @@ def _table_text(table: dict[tuple, np.ndarray]) -> str:
     return "{\n" + text + "\n  }"
 
 
+_COORD = "(?:0|[1-9][0-9]*)"  # a canonical decimal integer, as `str` writes one
+_STATE_KEY = re.compile(f"{_COORD},{_COORD},{_COORD},{_COORD}")
+_STATE_KEYS = re.compile(f"{_STATE_KEY.pattern}(?:;{_STATE_KEY.pattern})*")
+
+
 def _parse_table(widx: str, table: dict, action_count: int) -> dict[tuple, np.ndarray]:
     """One weight's snapshot table as {(x, y, dir, mask): Q-values}.
 
-    The keys and the Q-values are each parsed in one numpy call; every
-    value is a row of one (states, action_count) array.
+    Every state key must be "x,y,dir,mask" as `to_json_obj` writes it, so
+    no two keys name one state. The keys, joined by ";", are checked in one
+    regular-expression match; they and the Q-values are then each parsed
+    in one numpy call, and every value is a row of one (states,
+    action_count) array.
     """
     if not isinstance(table, dict):
         raise ValueError(f"snapshot table {widx} must be an object of states")
     if not table:
         return {}
+    text = ";".join(table)
+    if not (_STATE_KEYS.fullmatch(text) and text.count(";") == len(table) - 1):
+        key = next(key for key in table if not _STATE_KEY.fullmatch(key))
+        raise ValueError(
+            f"snapshot table {widx}: state key {key!r} is not x,y,dir,mask in canonical decimal"
+        )
     try:
-        keys = np.array([digest.split(",") for digest in table], dtype=np.int64)
+        keys = np.array(text.replace(";", ",").split(","), dtype=np.int64).reshape(-1, 4)
         values = np.array(list(table.values()), dtype=float)
-        if keys.shape[1:] != (4,) or values.shape[1:] != (action_count,):
+        if values.shape[1:] != (action_count,):
             raise ValueError
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(
             f"snapshot table {widx}: every state needs a key of 4 integers "
             f"and {action_count} Q-values"
@@ -269,20 +288,27 @@ def train_scalarized_q(
     """Epsilon-greedy one-step TD learning on linearly scalarized rewards.
 
     `context_source` is either a fixed context (specialist mode) or a
-    context space with a `sample(stream)` method (generalist mode: a fresh
-    context is drawn for every training episode). Each episode also draws
-    a uniform weight index from the grid and updates that weight's table
-    with Q <- Q + alpha * (w.r + gamma * max_a' Q' - Q).
+    context space with a `draw(rng)` method like `LavaGridSpace.draw`
+    (generalist mode: a fresh context is drawn for every training episode).
+    Each episode also draws a uniform weight index from the grid and
+    updates that weight's table with
+    Q <- Q + alpha * (w.r + gamma * max_a' Q' - Q).
 
-    Episodes step the compiled context (`compile_context`) on integer
-    pose and mask ids. Each weight's Q-values live in a dict keyed by
-    state id pose << 3 | mask (a mask has one bit per goal colour), with
-    a zero row made on a state's first visit, until training ends; then
-    the visited states move into `TabularQ.tables` under their
-    (x, y, dir, mask) keys. State ids depend on the grid width, so every
-    sampled context must share one grid size. Every w.r is the float of
-    a numpy dot product, as for the environment's reward vector, cached
+    Episodes step per-cell lists on integer pose and mask ids: those of
+    `compile_context` for a fixed context, and `ContextDraw.cell_lists` of
+    each drawn one, which needs no context object. Each weight's Q-values
+    live in a dict keyed by state id pose << 3 | mask (a mask has one bit
+    per goal colour), with a zero row made on a state's first visit, until
+    training ends; then the visited states move into `TabularQ.tables`
+    under their (x, y, dir, mask) keys. State ids depend on the grid width,
+    so every drawn context must share one grid size. Every w.r is the float
+    of a numpy dot product, as for the environment's reward vector, cached
     per weight and reward.
+
+    The weight index, the epsilon tests and the random actions are the
+    generator's `integers` and `random` draws, replayed on its raw words
+    (`WordReplay`); the generator is synced before each context draw and
+    at the end, so every draw is as numpy makes it.
     """
     if episodes < 1:
         raise ValueError("episodes must be at least 1")
@@ -307,34 +333,45 @@ def train_scalarized_q(
             "rng": GENERATOR_ID,
         },
     )
+    size = None
+    if fixed:  # validated and compiled once
+        model = compile_context(context_source)
+        size = (model.width, model.height)
+        start_pose, full_mask = model.start_pose, model.full_mask
+        cell_bit, cell_goal, cell_lava = (
+            model.cell_bit.tolist(), model.cell_goal.tolist(), model.cell_lava.tolist()
+        )
+        goal_r: dict[tuple[int, int], float] = {}  # (weight, cell) -> w.r
     # w.r of a step onto a plain cell and onto lava, per weight
     plain_r = [_scalarized(w, 0.0, 0.0) for w in grid]
     lava_r = [_scalarized(w, 0.0, -1.0) for w in grid]
     # per weight: Q-values by state id
     store = defaultdict(lambda: defaultdict(lambda: [0.0, 0.0, 0.0]))
-    rand, randint = rng.random, rng.integers
+    draws = WordReplay(rng)
+    below = draws.below
+    episode_words = 2 * max_steps + 1  # the weight draw, then a test and an action per step
     for ep in range(episodes):
-        if ep == 0 or not fixed:  # a fixed context is validated and compiled once
-            model = compile_context(context_source if fixed else context_source.sample(rng))
-            if ep == 0:
-                size = (model.width, model.height)
-                moves = model.next_pose.tolist()
-            elif (model.width, model.height) != size:
+        if not fixed:
+            draws.sync()  # the context draws are numpy's own
+            drawn = context_source.draw(rng)
+            if size is None:
+                size = (drawn.width, drawn.height)
+            elif (drawn.width, drawn.height) != size:
                 raise ValueError("sampled contexts must share one grid size")
-            cell_bit = model.cell_bit.tolist()
-            cell_goal = model.cell_goal.tolist()
-            cell_lava = model.cell_lava.tolist()
-            full_mask = model.full_mask
-            goal_r: dict[tuple[int, int], float] = {}  # (weight, cell) -> w.r
-        widx = int(randint(len(grid)))
-        epsilon = _epsilon(ep, episodes, eps_start, eps_end, eps_anneal_frac)
+            start_pose, full_mask, cell_bit, cell_goal, cell_lava = drawn.cell_lists()
+            goal_r = {}
+        if ep == 0:
+            moves = pose_geometry(*size).tolist()
+        word = draws.reserve(episode_words).__next__
+        widx = below(len(grid))
+        explore = draws.random_bound(_epsilon(ep, episodes, eps_start, eps_end, eps_anneal_frac))
         table = store[widx]
         r_plain, r_lava = plain_r[widx], lava_r[widx]
-        pose, mask = model.start_pose, 0
+        pose, mask = start_pose, 0
         qv = table[pose << 3]
         for _ in range(max_steps):
-            if rand() < epsilon:
-                a = int(randint(NUM_ACTIONS))
+            if word() < explore:  # rng.random() < epsilon
+                a = below(NUM_ACTIONS)
             else:  # argmax, ties to the lowest action
                 q0, q1, q2 = qv
                 a = 0 if q0 >= q1 and q0 >= q2 else (1 if q1 >= q2 else 2)
@@ -354,6 +391,7 @@ def train_scalarized_q(
             nq = table[pose << 3 | mask]
             qv[a] += alpha * (r + gamma * max(nq) - qv[a])
             qv = nq
+    draws.sync()
     width = size[0]
     for widx, table in sorted(store.items()):
         q.tables[widx] = {
@@ -449,9 +487,9 @@ def random_policy_front(
 ) -> ParetoFront:
     """Floor baseline: Pareto filter of n uniform-random-action rollouts.
 
-    A rollout draws its max_steps actions in one call. One that ends
-    early rewinds the generator and draws only the actions it took, so
-    the stream advances as with one draw per step.
+    Each action is the generator's `integers(NUM_ACTIONS)` draw, replayed
+    on its raw words (`WordReplay`); a rollout that ends early leaves the
+    words it did not use for the next one.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -459,13 +497,11 @@ def random_policy_front(
     max_steps = DEFAULT_MAX_STEPS if max_steps is None else max_steps
     _check_rollout(gamma, max_steps)
     tables = state_tables(context)
+    draws = WordReplay(rng)
+    below = draws.below
     vectors = []
     for _ in range(n):
-        saved = rng.bit_generator.state
-        actions = iter(rng.integers(NUM_ACTIONS, size=max_steps).tolist())
-        vectors.append(_play(tables, lambda _s: next(actions), gamma, max_steps))
-        unused = len(list(actions))
-        if unused:
-            rng.bit_generator.state = saved
-            rng.integers(NUM_ACTIONS, size=max_steps - unused)
+        draws.reserve(max_steps)
+        vectors.append(_play(tables, lambda _s: below(NUM_ACTIONS), gamma, max_steps))
+    draws.sync()
     return pareto_filter(np.array(vectors))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,12 +141,7 @@ class LavaGridContext:
 
     def validate(self, require_all_goals: bool = True) -> None:
         self.layout.validate(require_all_goals=require_all_goals)
-        if self.weights.shape != (3,):
-            raise ValueError("weights must have exactly 3 components")
-        if (self.weights < 0).any():
-            raise ValueError("goal weights must be nonnegative")
-        if abs(float(self.weights.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"goal weights must sum to 1, got {self.weights.sum()!r}")
+        _check_goal_weights(self.weights)
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -174,6 +170,15 @@ class LavaGridContext:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed context object: {exc}") from None
         return cls(layout, weights, name=obj.get("name"))
+
+
+def _check_goal_weights(weights: np.ndarray) -> None:
+    if weights.shape != (3,):
+        raise ValueError("weights must have exactly 3 components")
+    if (weights < 0).any():
+        raise ValueError("goal weights must be nonnegative")
+    if abs(float(weights.sum()) - 1.0) > 1e-9:
+        raise ValueError(f"goal weights must sum to 1, got {weights.sum()!r}")
 
 
 @dataclass(frozen=True)
@@ -340,27 +345,42 @@ class CompiledContext:
         return pose_geometry(self.width, self.height)
 
 
-_CODE_BIT = np.array([0, 0, 1, 2, 4])  # goal bit per cell code: bit i is GOAL_CODES[i]
-_CODE_LAVA = np.array([0.0, -1.0, 0.0, 0.0, 0.0])
+def _cell_lists(
+    n_cells: int, goals, lava, weights: np.ndarray
+) -> tuple[list[int], list[float], list[float]]:
+    """The cell_bit, cell_goal and cell_lava tables of `CompiledContext`, as lists.
+
+    `goals` holds a pair (i, cell) for goal GOAL_CODES[i] on cell, `lava`
+    the lava cells; cells are flat ids y * width + x.
+    """
+    bit, goal, lava_r = [0] * n_cells, [0.0] * n_cells, [0.0] * n_cells
+    for i, cell in goals:
+        bit[cell] = 1 << i
+        goal[cell] = GOAL_REWARD * float(weights[i])
+    for cell in lava:
+        lava_r[cell] = -1.0
+    return bit, goal, lava_r
 
 
 def compile_context(context: LavaGridContext) -> CompiledContext:
     """Validate `context` and compile it (see `CompiledContext`)."""
     context.validate(require_all_goals=False)
     layout = context.layout
-    codes = layout.tiles.ravel()
-    code_goal = np.zeros(len(TILE_CHARS))
-    code_goal[list(GOAL_CODES)] = [GOAL_REWARD * float(w) for w in context.weights]
-    cell_bit = _CODE_BIT[codes]
+    width = layout.width
+    goals = [
+        (GOAL_CODES.index(code), y * width + x) for code, (x, y) in layout.goal_positions().items()
+    ]
+    lava = np.flatnonzero(layout.tiles.ravel() == LAVA).tolist()
+    cell_bit, cell_goal, cell_lava = _cell_lists(layout.tiles.size, goals, lava, context.weights)
     sx, sy = layout.agent_start
     return CompiledContext(
-        width=layout.width,
+        width=width,
         height=layout.height,
-        start_pose=(sy * layout.width + sx) * 4 + layout.agent_dir,
-        full_mask=int(cell_bit.sum()),  # each goal appears at most once
-        cell_bit=cell_bit,
-        cell_goal=code_goal[codes],
-        cell_lava=_CODE_LAVA[codes],
+        start_pose=(sy * width + sx) * 4 + layout.agent_dir,
+        full_mask=sum(1 << i for i, _ in goals),
+        cell_bit=np.array(cell_bit),
+        cell_goal=np.array(cell_goal),
+        cell_lava=np.array(cell_lava),
     )
 
 
@@ -425,6 +445,26 @@ def _lava_count_bounds(lava_count_range, width: int, height: int) -> tuple[int, 
     return lo, hi
 
 
+def _draw_cells(rng, lava_count_range, width: int, height: int) -> tuple[list[int], int]:
+    """A layout's draws: its lava count, its cells, then the agent's direction.
+
+    The cells are distinct flat ids y * width + x: the agent's, the green,
+    yellow and blue goals', then the lava cells.
+    """
+    lo, hi = _lava_count_bounds(lava_count_range, width, height)
+    lava_count = int(rng.integers(lo, hi + 1))
+    cells = rng.choice(width * height, size=lava_count + 4, replace=False).tolist()
+    return cells, int(rng.integers(4))
+
+
+def _layout(cells: list[int], agent_dir: int, width: int, height: int) -> LavaGridLayout:
+    tiles = np.zeros(width * height, dtype=np.int8)
+    tiles[cells[1:4]] = GOAL_CODES
+    tiles[cells[4:]] = LAVA
+    y, x = divmod(cells[0], width)
+    return LavaGridLayout(tiles.reshape(height, width), (x, y), agent_dir)
+
+
 def random_layout(
     stream,
     lava_count_range: tuple[int, int] = (0, 30),
@@ -436,15 +476,29 @@ def random_layout(
     Lava is passable and the grid has no walls, so every goal is reachable
     from the start.
     """
-    rng = _rng_of(stream)
-    lo, hi = _lava_count_bounds(lava_count_range, width, height)
-    lava_count = int(rng.integers(lo, hi + 1))
-    chosen = rng.choice(width * height, size=lava_count + 4, replace=False)
-    tiles = np.zeros(width * height, dtype=np.int8)  # flat: cell y * width + x
-    tiles[chosen[1:4]] = GOAL_CODES
-    tiles[chosen[4:]] = LAVA
-    y, x = divmod(int(chosen[0]), width)
-    return LavaGridLayout(tiles.reshape(height, width), (x, y), int(rng.integers(4)))
+    cells, agent_dir = _draw_cells(_rng_of(stream), lava_count_range, width, height)
+    return _layout(cells, agent_dir, width, height)
+
+
+class ContextDraw(NamedTuple):
+    """One domain-randomized context as `LavaGridSpace.draw` drew it."""
+
+    width: int
+    height: int
+    cells: list[int]  # as `_draw_cells` gives them
+    agent_dir: int
+    weights: np.ndarray  # (green, yellow, blue)
+
+    def cell_lists(self) -> tuple[int, int, list[int], list[float], list[float]]:
+        """start_pose, full_mask and the per-cell tables of this draw, as lists.
+
+        They equal `compile_context`'s for the context that
+        `LavaGridSpace.sample` makes of the same draw, but need no context.
+        """
+        cells = self.cells
+        goals = enumerate(cells[1:4])
+        tables = _cell_lists(self.width * self.height, goals, cells[4:], self.weights)
+        return (cells[0] * 4 + self.agent_dir, (1 << len(GOAL_CODES)) - 1, *tables)
 
 
 @dataclass(frozen=True)
@@ -458,11 +512,25 @@ class LavaGridSpace:
     def __post_init__(self):
         _lava_count_bounds(self.lava_count_range, self.width, self.height)
 
-    def sample(self, stream) -> LavaGridContext:
+    def draw(self, stream) -> ContextDraw:
+        """One context's draws: its layout's (`_draw_cells`), then its goal weights.
+
+        A draw is checked for what `LavaGridContext.validate` requires of the
+        context it makes: distinct cells, and weights that are nonnegative
+        and sum to 1.
+        """
         rng = _rng_of(stream)
-        layout = random_layout(rng, self.lava_count_range, self.width, self.height)
+        cells, agent_dir = _draw_cells(rng, self.lava_count_range, self.width, self.height)
         weights = sample_simplex_batch(rng, 3, 1)[0]
-        return LavaGridContext(layout, weights)
+        if len(set(cells)) != len(cells):
+            raise ValueError("agent, goal and lava cells must be distinct")
+        _check_goal_weights(weights)
+        return ContextDraw(self.width, self.height, cells, agent_dir, weights)
+
+    def sample(self, stream) -> LavaGridContext:
+        drawn = self.draw(stream)
+        layout = _layout(drawn.cells, drawn.agent_dir, self.width, self.height)
+        return LavaGridContext(layout, drawn.weights)
 
 
 # -- builtin evaluation contexts ------------------------------------------

@@ -1,14 +1,17 @@
 """Seeded random streams and the statistics used by the evaluation protocol.
 
-Provides reproducible, hierarchically derivable random streams, uniform
-sampling on the unit simplex, the interquartile mean, and the optimality
-gap. All functions are pure; identical stream coordinates reproduce
-bit-identical sequences regardless of thread schedule.
+Provides reproducible, hierarchically derivable random streams, a replay
+of a generator's draws on its raw words, uniform sampling on the unit
+simplex, the interquartile mean, and the optimality gap. Identical stream
+coordinates reproduce bit-identical sequences regardless of thread
+schedule.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from operator import length_hint
 
 import numpy as np
 
@@ -43,6 +46,92 @@ def _rng_of(stream) -> np.random.Generator:
     if isinstance(stream, np.random.Generator):
         return stream
     raise TypeError(f"expected RandomStream or Generator, got {type(stream)!r}")
+
+
+_LOW32 = 0xFFFFFFFF
+
+
+class WordReplay:
+    """A PCG64 `Generator`'s `random() < p` tests and `integers(n)` draws, on its raw words.
+
+    The replay follows numpy's own rules, so every draw is the one the
+    generator would make:
+    - `random()` is (w >> 11) * 2**-53 for the next 64-bit word w, so
+      `random() < p` holds exactly when w < `random_bound(p)`.
+    - `integers(n)`, 1 < n <= 2**32, is Lemire's method on 32-bit draws x:
+      (x * n) >> 32, redrawn while (x * n) mod 2**32 < 2**32 mod n (for
+      n = 3 only when x = 0). A 32-bit draw is the low half of a fresh word,
+      whose high half is kept for the next one (PCG64's `has_uint32` and
+      `uinteger`); a `random()` word leaves that carry alone.
+
+    Words come in blocks from `bit_generator.random_raw`: `reserve(n)`
+    makes n more available and returns the iterator over them, which
+    callers read for their `random()` tests and `below(n)` reads too. The
+    generator runs ahead of the replay; `sync()` writes the replay's exact
+    position back into it. Call `sync()` before any other draw from the
+    generator and when done, and `reserve` before drawing again.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        if not isinstance(rng.bit_generator, np.random.PCG64):
+            raise TypeError(f"the replay needs a PCG64 generator, got {rng.bit_generator!r}")
+        self._bits = rng.bit_generator
+        self._block: list[int] = []
+        self._words = iter(self._block)
+        self._has32 = self._u32 = None  # the carry, read from the generator by reserve()
+
+    @staticmethod
+    def random_bound(p: float) -> int:
+        """The word bound b: `random() < p` exactly when the word drawn is below b."""
+        if not p > 0.0:  # NaN included
+            return 0
+        if p >= 1.0:
+            return 1 << 64
+        return math.ceil(p * 2.0**53) << 11
+
+    def reserve(self, n: int):
+        """Make n more words available, and return the iterator over them.
+
+        A `random()` test takes one word, and a `below` draw at most one.
+        """
+        if self._has32 is None:
+            state = self._bits.state
+            self._has32, self._u32 = state["has_uint32"], state["uinteger"]
+        if length_hint(self._words) < n:
+            self._block = list(self._words) + self._bits.random_raw(n).tolist()
+            self._words = iter(self._block)
+        return self._words
+
+    def below(self, n: int) -> int:
+        """`Generator.integers(n)` for 1 <= n <= 2**32."""
+        if not 1 < n <= 1 << 32:
+            if n == 1:
+                return 0  # numpy draws nothing
+            raise ValueError(f"the replay draws integers(n) for 1 <= n <= 2**32, not n = {n}")
+        reject = (1 << 32) % n
+        while True:
+            if self._has32:
+                x, self._has32 = self._u32, 0
+            else:
+                word = next(self._words)
+                x, self._u32, self._has32 = word & _LOW32, word >> 32, 1
+            m = x * n
+            if m & _LOW32 >= reject:
+                return m >> 32
+            self._block.extend(self._bits.random_raw(1).tolist())  # keeps the reserve whole
+
+    def sync(self) -> None:
+        """Write the replay's position (state, has_uint32, uinteger) into the generator."""
+        if self._has32 is None:
+            return
+        unused = length_hint(self._words)
+        if unused:
+            self._bits.advance(-unused)  # PCG64 steps back by wrapping around 2**128
+        state = self._bits.state
+        state["has_uint32"], state["uinteger"] = self._has32, self._u32
+        self._bits.state = state
+        self._block, self._has32 = [], None
+        self._words = iter(self._block)
 
 
 def sample_simplex_batch(stream, k: int, n: int) -> np.ndarray:

@@ -4,9 +4,10 @@
 that stepped `LavaGridEnv`. The tests here require byte-identical
 snapshots (`to_json_obj()` as JSON text, so every float and every visited
 state key counts) and byte-identical greedy and random fronts. The
-domain-randomized contexts that both trainers draw from
-`LavaGridSpace.sample` are pinned on their own to the frozen per-cell
-sampler in `draws_reference.py`.
+domain-randomized contexts are pinned on their own: `LavaGridSpace.sample`
+to the frozen per-cell sampler in `draws_reference.py`, and the per-cell
+lists that the trainer builds from `LavaGridSpace.draw` to
+`compile_context` of the sampled context.
 """
 
 import json
@@ -31,6 +32,7 @@ from morlgen.lavagrid import (
     LavaGridLayout,
     LavaGridSpace,
     builtin_eval_contexts,
+    compile_context,
 )
 from morlgen.stats import RandomStream
 
@@ -164,10 +166,16 @@ def test_rollout_arguments_checked_like_reference():
 @pytest.mark.parametrize("space", [LavaGridSpace(11, 11, (0, 30)), LavaGridSpace(5, 3, (1, 3))],
                          ids=["11x11", "5x3"])
 def test_domain_randomized_draws_match_reference(space):
-    """Same tiles, start pose, weight bytes and generator state, draw after draw."""
+    """Same tiles, start pose, weight bytes and generator state, draw after draw.
+
+    The trainer's per-cell lists of each draw (`ContextDraw.cell_lists`)
+    equal `compile_context` of the context that `sample` makes, field by
+    field.
+    """
     lava_counts = set()
     for seed in range(1000):
-        new_rng, old_rng = RandomStream(seed, (9,)).rng(), RandomStream(seed, (9,)).rng()
+        rngs = [RandomStream(seed, (9,)).rng() for _ in range(3)]
+        new_rng, old_rng, draw_rng = rngs
         for _ in range(3):
             new, old = space.sample(new_rng), draws_reference.reference_sample(space, old_rng)
             assert new.layout.tiles.dtype == old.layout.tiles.dtype
@@ -176,7 +184,16 @@ def test_domain_randomized_draws_match_reference(space):
             assert new.layout.agent_start == old.layout.agent_start
             assert new.layout.agent_dir == old.layout.agent_dir
             assert new.weights.tobytes() == old.weights.tobytes()
+            drawn = space.draw(draw_rng)
+            model = compile_context(new)
+            assert (drawn.width, drawn.height) == (model.width, model.height)
+            start_pose, full_mask, cell_bit, cell_goal, cell_lava = drawn.cell_lists()
+            assert start_pose == model.start_pose and full_mask == model.full_mask
+            assert cell_bit == model.cell_bit.tolist()
+            assert cell_goal == model.cell_goal.tolist()
+            assert cell_lava == model.cell_lava.tolist()
             assert new_rng.bit_generator.state == old_rng.bit_generator.state
+            assert draw_rng.bit_generator.state == old_rng.bit_generator.state
             lava_counts.add(int((new.layout.tiles == LAVA).sum()))
     lo, hi = space.lava_count_range
     assert lava_counts == set(range(lo, hi + 1))
@@ -188,9 +205,9 @@ def test_sampled_contexts_must_share_one_grid_size():
             self.spaces = [LavaGridSpace(5, 3, (1, 3)), LavaGridSpace(4, 4, (1, 3))]
             self.draws = 0
 
-        def sample(self, rng):
+        def draw(self, rng):
             self.draws += 1
-            return self.spaces[self.draws % 2].sample(rng)
+            return self.spaces[self.draws % 2].draw(rng)
 
     with pytest.raises(ValueError, match="one grid size"):
         train_scalarized_q(TwoSizes(), GRID, 4, MICRO_GAMMA, RandomStream(0), max_steps=3)

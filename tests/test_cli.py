@@ -360,6 +360,65 @@ class TestEvalCommand:
         assert str(path) in err and field in err and "Traceback" not in err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("old, new", [
+        pytest.param("10", "1_0", id="table 1_0"),
+        pytest.param("10", "010", id="table 010"),
+        pytest.param("10", " 10", id="table space 10"),
+        pytest.param("10", "+10", id="table +10"),
+        pytest.param(None, "15", id="table 15 of 15 weights"),
+        pytest.param(None, "99", id="table 99"),
+        pytest.param(None, "-1", id="table -1"),
+    ])
+    def test_bad_table_key_exit_2(self, tmp_path, capsys, old, new):
+        def edit(tables):
+            assert old is None or old in tables
+            if old is None:
+                return {**tables, new: {}}
+            return {(new if w == old else w): table for w, table in tables.items()}
+
+        self.assert_bad_snapshot_exit_2(tmp_path, capsys, edit, f"table key {new!r}")
+
+    @pytest.mark.parametrize("rename", [
+        pytest.param(lambda key: "0" + key, id="leading zero"),
+        pytest.param(lambda key: " " + key, id="leading space"),
+        pytest.param(lambda key: "+" + key, id="plus sign"),
+        pytest.param(lambda key: key.replace(",", ", ", 1), id="space after comma"),
+        pytest.param(lambda key: key.replace(",", "_0,", 1), id="underscore"),
+        pytest.param(lambda key: key.rsplit(",", 1)[0], id="three fields"),
+        pytest.param(lambda key: key + ",0", id="five fields"),
+        pytest.param(lambda key: key + ";" + key, id="two keys in one"),
+    ])
+    def test_noncanonical_state_key_exit_2(self, tmp_path, capsys, rename):
+        bad = {}
+
+        def edit(tables):
+            table = tables["0"]
+            key = next(iter(table))
+            bad["key"] = rename(key)
+            tables["0"] = {(bad["key"] if k == key else k): row for k, row in table.items()}
+            return tables
+
+        self.assert_bad_snapshot_exit_2(
+            tmp_path, capsys, edit, lambda: f"table 0: state key {bad['key']!r}"
+        )
+
+    @staticmethod
+    def assert_bad_snapshot_exit_2(tmp_path, capsys, edit, message):
+        """eval --agents exits 2 on a snapshot whose tables `edit` changed, naming the key."""
+        cfg = write_config(tmp_path)
+        snaps = tmp_path / "snaps"
+        main(["train", "--config", str(cfg), "--mode", "generalist", "--out", str(snaps)])
+        path = snaps / "generalist_seed0.json"
+        obj = json.loads(path.read_text())
+        path.write_text(json.dumps({**obj, "tables": edit(obj["tables"])}))
+        out = tmp_path / "o"
+        assert main(["eval", "--config", str(cfg), "--agents", str(snaps),
+                     "--out", str(out)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        message = message() if callable(message) else message
+        assert str(path) in err and message in err and "Traceback" not in err
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("flags, message", [
         ([], "is required"),
         (["--self-test", "--random-baseline"], "not allowed with"),

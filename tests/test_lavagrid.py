@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from morlgen import lavagrid
 from morlgen.lavagrid import (
     DIR_CHARS,
     EAST,
@@ -379,6 +380,24 @@ class TestRandomLayout:
         b = space.sample(RandomStream(3))
         assert a.layout.to_strings() == b.layout.to_strings()
         assert np.allclose(a.weights, b.weights)
+
+    @pytest.mark.parametrize("cells, weights, message", [
+        (lambda c: c[:1] * 2 + c[2:], None, "cells must be distinct"),
+        (None, [1.2, -0.2, 0.0], "goal weights must be nonnegative"),
+        (None, [0.5, 0.2, 0.2], "goal weights must sum to 1"),
+    ], ids=["agent on a goal", "negative weight", "weights sum to 0.9"])
+    def test_draw_checked_as_validate_checks(self, monkeypatch, cells, weights, message):
+        draw_cells = lavagrid._draw_cells
+        if cells:
+            monkeypatch.setattr(lavagrid, "_draw_cells", lambda *args: (
+                cells(draw_cells(*args)[0]), 0))
+        if weights:
+            monkeypatch.setattr(lavagrid, "sample_simplex_batch",
+                                lambda *args: np.array([weights]))
+            with pytest.raises(ValueError, match=message):  # validate's own text
+                LavaGridContext(FULL.layout, np.array(weights)).validate()
+        with pytest.raises(ValueError, match=message):
+            LavaGridSpace(5, 5, (0, 4)).draw(RandomStream(0))
 
 
 class TestRender:

@@ -1,12 +1,19 @@
-"""Tests for random streams, simplex sampling, IQM, and optimality gap."""
+"""Tests for random streams, the draw replay, simplex sampling, IQM, and optimality gap."""
+
+import json
 
 import numpy as np
 import pytest
 
+import agents_reference
+from conftest import micro_suite
 from draws_reference import reference_sample_simplex
+from morlgen.agents import random_policy_front, train_scalarized_q, weight_grid
+from morlgen.lavagrid import LavaGridSpace
 from morlgen.stats import (
     GENERATOR_ID,
     RandomStream,
+    WordReplay,
     iqm,
     optimality_gap,
     sample_simplex_batch,
@@ -31,6 +38,100 @@ class TestRandomStream:
 
     def test_generator_id_fixed(self):
         assert GENERATOR_ID == "numpy.PCG64/SeedSequence-spawn-v1"
+
+
+def generator_emitting(word: int) -> np.random.Generator:
+    """A PCG64 generator whose next raw word is `word`.
+
+    PCG64 steps its 128-bit state s and then outputs the XSL-RR of the new
+    s: the 64-bit xor of its halves rotated right by its top 6 bits. The
+    generator is put on such an s and stepped back once.
+    """
+    gen = np.random.Generator(np.random.PCG64(0))
+    hi = 0x9E3779B97F4A7C15
+    rot = hi >> 58
+    lo = hi ^ (((word << rot) | (word >> (64 - rot))) & (2**64 - 1))  # rotate left
+    state = gen.bit_generator.state
+    state["state"]["state"] = hi << 64 | lo
+    gen.bit_generator.state = state
+    gen.bit_generator.advance(-1)
+    return gen
+
+
+class TestWordReplay:
+    """`WordReplay` against a `Generator` that makes the same draws itself."""
+
+    @pytest.mark.parametrize("n", [1, 3, 15, 66, 2**31 + 5, 2**32])
+    def test_mixed_draws_match_generator(self, n):
+        """2**31 + 5 rejects about half its 32-bit draws; 1 draws nothing."""
+        for seed in range(100):
+            gen, replayed = RandomStream(seed, (6,)).rng(), RandomStream(seed, (6,)).rng()
+            draws = WordReplay(replayed)
+            plan = np.random.default_rng(seed)  # which draws, and how many between syncs
+            for _ in range(4):
+                kinds = plan.random(int(plan.integers(1, 40))) < 0.5
+                words = draws.reserve(len(kinds))
+                for is_random in kinds.tolist():
+                    if is_random:  # the rule `random() < p`, on both sides of the drawn value
+                        u, word = gen.random(), next(words)
+                        assert not word < draws.random_bound(u)
+                        assert word < draws.random_bound(np.nextafter(u, 2.0))
+                    else:
+                        assert draws.below(n) == gen.integers(n)
+                draws.sync()
+                assert replayed.bit_generator.state == gen.bit_generator.state
+                assert replayed.integers(n) == gen.integers(n)  # numpy's own draws go on
+
+    @pytest.mark.parametrize("word", [0, 5 << 32, 5], ids=["both halves 0", "low half 0",
+                                                           "high half 0"])
+    def test_zero_draw_is_redrawn(self, word):
+        """x = 0 is the one 32-bit draw that integers(3) rejects."""
+        gen, replayed = generator_emitting(word), generator_emitting(word)
+        assert generator_emitting(word).bit_generator.random_raw() == word
+        draws = WordReplay(replayed)
+        draws.reserve(4)  # one word per draw; each rejection draws one more
+        assert [draws.below(3) for _ in range(4)] == [gen.integers(3) for _ in range(4)]
+        draws.sync()
+        assert replayed.bit_generator.state == gen.bit_generator.state
+
+    def test_random_bound_edges(self):
+        assert WordReplay.random_bound(0.0) == 0
+        assert WordReplay.random_bound(-1.0) == 0
+        assert WordReplay.random_bound(float("nan")) == 0  # random() < nan never holds
+        assert WordReplay.random_bound(1.0) == 2**64
+        assert WordReplay.random_bound(2.0**-53) == 1 << 11  # only the words giving 0.0
+
+    def test_needs_pcg64_and_32_bit_bounds(self):
+        with pytest.raises(TypeError, match="PCG64"):
+            WordReplay(np.random.Generator(np.random.MT19937(0)))
+        draws = WordReplay(RandomStream(0).rng())
+        draws.reserve(1)
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            draws.below(2**32 + 1)
+
+    @pytest.mark.parametrize("source", ["micro", "5x3 space"])
+    def test_trainer_leaves_the_generator_where_numpy_would(self, source):
+        context = micro_suite()[0][1] if source == "micro" else LavaGridSpace(5, 3, (1, 3))
+        grid = weight_grid(4, 3)
+        for seed in range(3):
+            new_rng, old_rng = RandomStream(seed, (1,)).rng(), RandomStream(seed, (1,)).rng()
+            new = train_scalarized_q(context, grid, 60, 0.9, new_rng, max_steps=12)
+            old = agents_reference.reference_train_scalarized_q(
+                context, grid, 60, 0.9, old_rng, max_steps=12
+            )
+            assert json.dumps(new.to_json_obj()) == json.dumps(old.to_json_obj())
+            assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+    def test_random_front_leaves_the_generator_where_numpy_would(self):
+        context = micro_suite()[0][1]
+        for max_steps in (1, 5, 12):
+            new_rng, old_rng = RandomStream(4).rng(), RandomStream(4).rng()
+            new = random_policy_front(context, 30, 0.9, new_rng, max_steps=max_steps)
+            old = agents_reference.reference_random_policy_front(
+                context, 30, 0.9, old_rng, max_steps=max_steps
+            )
+            assert new.points.tobytes() == old.points.tobytes()
+            assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
 
 class TestSampleSimplex:
