@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
+import pickle
 import sys
 from pathlib import Path
 
@@ -114,18 +116,75 @@ def cmd_oracle(args) -> int:
     return EXIT_OK if result.exact else EXIT_APPROXIMATE
 
 
+def _train_share(config, jobs) -> None:
+    for seed, idx, path in jobs:
+        harness.train_agent(config, seed, idx).save(path)
+
+
+def _train_share_and_exit(config, jobs, write_fd: int) -> None:
+    """In a forked child: train `jobs`, send back the exception if one ends them, exit."""
+    code = 1
+    try:
+        with open(write_fd, "wb") as pipe:
+            try:
+                _train_share(config, jobs)
+            except Exception as exc:
+                pipe.write(pickle.dumps(exc))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _train_in_processes(config, jobs, processes: int) -> None:
+    """Train `jobs` in `processes` processes, each a contiguous share of them.
+
+    This process trains share 0; forked children train the others. Every
+    child is waited for, also when this process's own share fails, and the
+    first failure in job order is raised, as one process would raise it.
+    """
+    count = len(jobs)
+    shares = [jobs[i * count // processes:(i + 1) * count // processes] for i in range(processes)]
+    sys.stdout.flush()  # so that no child holds a copy of unwritten output
+    sys.stderr.flush()
+    children = []  # (pid, read end of the pipe its exception comes back on)
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _train_share_and_exit(config, share, write_fd)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        _train_share(config, shares[0])
+    finally:
+        ends = []
+        for pid, read_fd in children:
+            with open(read_fd, "rb") as pipe:
+                sent = pipe.read()
+            ends.append((sent, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+    for sent, code in ends:
+        if sent:
+            raise pickle.loads(sent)  # written by this program's own child
+        if code != 0:
+            raise RuntimeError(f"a training process ended with exit code {code}")
+
+
 def cmd_train(args) -> int:
     config, config_path = _load_config(args)
     out_dir = Path(args.out)
     _write_manifest(out_dir, "train", config_path, config.seeds[0])
     modes = args.mode
+    jobs = []  # (seed, context index or None for the generalist, snapshot path)
     for seed in config.seeds:
         if "generalist" in modes:
-            harness.train_agent(config, seed).save(out_dir / f"generalist_seed{seed}.json")
+            jobs.append((seed, None, out_dir / f"generalist_seed{seed}.json"))
         if "specialists" in modes:
-            for idx, (name, _) in enumerate(config.contexts):
-                q = harness.train_agent(config, seed, idx)
-                q.save(out_dir / f"specialist_seed{seed}_{name}.json")
+            jobs += [
+                (seed, idx, out_dir / f"specialist_seed{seed}_{name}.json")
+                for idx, (name, _) in enumerate(config.contexts)
+            ]
+    _train_in_processes(config, jobs, min(args.parallel, len(jobs)))
     print(f"trained {', '.join(modes)} for seeds {config.seeds}")
     return EXIT_OK
 
@@ -254,6 +313,13 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _process_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="morlgen",
@@ -280,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["generalist", "specialists"],
         default=["generalist", "specialists"],
     )
-    p.add_argument("--parallel", type=int, default=None, help="accepted; outputs are independent of it")
+    p.add_argument("--parallel", type=_process_count, default=1, metavar="N",
+                   help="train the agents in N processes (default 1); snapshots are independent of it")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate agents and write a report")
@@ -293,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["generalist", "specialist"], default=None,
                    help="the snapshots' agent kind, with --agents only (default generalist)")
     p.add_argument("--seed", type=int, default=None, help="override config seeds")
-    p.add_argument("--parallel", type=int, default=None, help="accepted; outputs are independent of it")
+    p.add_argument("--parallel", type=_process_count, default=1, metavar="N",
+                   help="accepted; eval runs in one process, and outputs are independent of it")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("report", help="render a report as a plain-text table")

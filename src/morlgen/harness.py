@@ -87,6 +87,11 @@ class EvalConfig:
         repeated = sorted({name for name in names if names.count(name) > 1})
         if repeated:
             raise ValueError(f"context names must be distinct, repeated: {repeated}")
+        for name, ctx in self.contexts:  # checked here, before any output
+            try:
+                ctx.validate(require_all_goals=False)
+            except ValueError as exc:
+                raise ValueError(f"context {name!r}: {exc}") from None
         if not self.seeds:
             raise ValueError("config must declare at least one seed")
         if not all(_is_int(seed) and seed >= 0 for seed in self.seeds):

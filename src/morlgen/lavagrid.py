@@ -175,8 +175,8 @@ class LavaGridContext:
 def _check_goal_weights(weights: np.ndarray) -> None:
     if weights.shape != (3,):
         raise ValueError("weights must have exactly 3 components")
-    if (weights < 0).any():
-        raise ValueError("goal weights must be nonnegative")
+    if not (weights >= 0).all():  # false for NaN too
+        raise ValueError(f"goal weights must be nonnegative numbers, got {weights.tolist()!r}")
     if abs(float(weights.sum()) - 1.0) > 1e-9:
         raise ValueError(f"goal weights must sum to 1, got {weights.sum()!r}")
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -34,6 +35,11 @@ def micro_context_file(tmp_path):
     path = tmp_path / "context.json"
     path.write_text(json.dumps(ctx.to_json_obj()))
     return path, ctx
+
+
+NAN_WEIGHTS = pytest.mark.parametrize(
+    "weights", [[float("nan")] * 3, [float("nan"), 1.0, 0.0]], ids=["NaN weights", "one NaN weight"]
+)
 
 
 class TestOracleCommand:
@@ -79,6 +85,17 @@ class TestOracleCommand:
         sidecar = json.loads((out / "witnesses.json").read_text())
         assert sidecar["exact"] is False
         assert sidecar["epsilon"] > 0
+
+    @NAN_WEIGHTS
+    def test_nan_goal_weights_exit_2(self, tmp_path, capsys, weights):
+        path, ctx = micro_context_file(tmp_path)
+        obj = ctx.to_json_obj()
+        obj["weights"] = weights
+        path.write_text(json.dumps(obj))  # Python's json writes and reads NaN
+        out = tmp_path / "out"
+        assert main(["oracle", str(path), "--horizon", "4", "--out", str(out)]) == EXIT_INPUT_ERROR
+        assert "goal weights must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
 
     @staticmethod
     def assert_exit_2_before_any_output(tmp_path, capsys, flag, value):
@@ -164,6 +181,16 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "context names" in err and message in err
 
+    @NAN_WEIGHTS
+    def test_nan_goal_weights_exit_2_before_any_output(self, tmp_path, capsys, weights):
+        obj = json.loads(write_config(tmp_path).read_text())
+        obj["contexts"][1]["context"]["weights"] = weights
+        cfg = tmp_path / "nan.json"
+        cfg.write_text(json.dumps(obj))
+        self.assert_train_and_eval_exit_2(tmp_path, cfg)
+        assert not (tmp_path / "t").exists() and not (tmp_path / "e").exists()
+        assert "context 'ForkGY': goal weights must be nonnegative" in capsys.readouterr().err
+
     def test_negative_seed_override_exit_2_before_any_work(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         for command in (["train"], ["eval", "--self-test"]):
@@ -231,6 +258,69 @@ class TestTrainCommand:
                      "--out", str(out)]) == EXIT_OK
         assert (out / "specialist_seed0_ForkYG.json").exists()
         assert (out / "specialist_seed0_ForkGY.json").exists()
+
+
+def snapshot_files(out):
+    """Every file `train` wrote, with the manifest's `out` entry left out."""
+    files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["out"]
+    return files, manifest
+
+
+class TestParallelTrain:
+    """`train --parallel N` trains contiguous shares of its jobs in N processes.
+
+    Each config here has at most 3 jobs, so no test starts more than 3
+    processes.
+    """
+
+    def test_snapshots_byte_identical(self, tmp_path):
+        cfg = write_config(tmp_path, train_episodes=60)  # 3 jobs: a generalist, 2 specialists
+        outputs = []
+        for parallel in ("1", "2", "3"):
+            out = tmp_path / f"p{parallel}"
+            assert main(["train", "--config", str(cfg), "--parallel", parallel,
+                         "--out", str(out)]) == EXIT_OK
+            outputs.append(snapshot_files(out))
+        assert len(outputs[0][0]) == 3
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("failing", [(1,), (0, 1), (None, 1)],
+                             ids=["one specialist", "two specialists", "generalist and a specialist"])
+    @pytest.mark.parametrize("parallel", ["2", "3"])
+    def test_failure_exits_2_as_one_process_does(self, tmp_path, capsys, monkeypatch,
+                                                 parallel, failing):
+        cfg = write_config(tmp_path, train_episodes=10)
+        train_agent = harness.train_agent
+
+        def fail_some(config, seed, idx=None):  # a forked child inherits it
+            if idx in failing:
+                raise ValueError(f"job {idx} failed")
+            return train_agent(config, seed, idx)
+
+        monkeypatch.setattr(harness, "train_agent", fail_some)
+        errors = []
+        for flags in ([], ["--parallel", parallel]):
+            assert main(["train", "--config", str(cfg), *flags,
+                         "--out", str(tmp_path / "o")]) == EXIT_INPUT_ERROR
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == f"error: job {failing[0]} failed\n"
+        with pytest.raises(ChildProcessError):  # every child was waited for
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_below_one_exit_2_before_any_output(self, tmp_path, capsys, command, value):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "o"
+        scored = ["--self-test"] if command == "eval" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), *scored, "--parallel", value,
+                  "--out", str(out)])
+        assert exc.value.code == EXIT_INPUT_ERROR
+        assert "argument --parallel: must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEvalCommand:

@@ -385,7 +385,10 @@ class TestRandomLayout:
         (lambda c: c[:1] * 2 + c[2:], None, "cells must be distinct"),
         (None, [1.2, -0.2, 0.0], "goal weights must be nonnegative"),
         (None, [0.5, 0.2, 0.2], "goal weights must sum to 1"),
-    ], ids=["agent on a goal", "negative weight", "weights sum to 0.9"])
+        (None, [np.nan, np.nan, np.nan], "goal weights must be nonnegative"),
+        (None, [np.nan, 1.0, 0.0], "goal weights must be nonnegative"),
+    ], ids=["agent on a goal", "negative weight", "weights sum to 0.9", "NaN weights",
+            "one NaN weight"])
     def test_draw_checked_as_validate_checks(self, monkeypatch, cells, weights, message):
         draw_cells = lavagrid._draw_cells
         if cells:

@@ -5,7 +5,8 @@ names in `WRAPS`, and the benchmark prints its per-layer metrics as the
 last line of a traced run, in strict JSON. These tests use that module
 read-only: every wrapped function must exist, and a tiny traced
 train/eval run must give the expected metric names with plain, finite
-Python numbers.
+Python numbers, also when `train --parallel 2` trains a share of its
+agents in a forked child.
 """
 
 import importlib
@@ -58,11 +59,12 @@ def test_every_wrapped_function_exists(tracing):
         assert vars(owner).get(path[-1]) is not None, name
 
 
-def test_tiny_traced_run_gives_strict_json_metrics(tracing, tmp_path):
+def traced_metrics(tracing, tmp_path, *train_flags):
+    """The per-layer metrics of a tiny traced train/eval run, checked as strict JSON."""
     config = str(write_config(tmp_path, train_episodes=40, eval_episodes=20))
     snaps = str(tmp_path / "snapshots")
     commands = [
-        ["train", "--config", config, "--out", snaps],
+        ["train", "--config", config, "--out", snaps, *train_flags],
         ["eval", "--config", config, "--agents", snaps, "--kind", "specialist",
          "--out", str(tmp_path / "specialist")],
         ["eval", "--config", config, "--agents", snaps, "--kind", "generalist",
@@ -84,4 +86,16 @@ def test_tiny_traced_run_gives_strict_json_metrics(tracing, tmp_path):
     json.dumps(
         {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}, allow_nan=False
     )
+    return metrics
+
+
+def test_tiny_traced_run_gives_strict_json_metrics(tracing, tmp_path):
+    metrics = traced_metrics(tracing, tmp_path)
     assert metrics["agents.train_episodes"][0] == 2 * 40 + 40  # two specialists, one generalist
+
+
+def test_traced_run_training_in_two_processes_keeps_every_metric(tracing, tmp_path):
+    # The jobs are the generalist, then the two specialists: this process
+    # trains the first share, the generalist, and a forked child the rest.
+    metrics = traced_metrics(tracing, tmp_path, "--parallel", "2")
+    assert metrics["agents.train_episodes"][0] == 40
