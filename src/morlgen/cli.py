@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import pickle
@@ -116,58 +117,73 @@ def cmd_oracle(args) -> int:
     return EXIT_OK if result.exact else EXIT_APPROXIMATE
 
 
-def _train_share(config, jobs) -> None:
-    for seed, idx, path in jobs:
-        harness.train_agent(config, seed, idx).save(path)
+def _run_tasks(run, tasks) -> tuple[dict, tuple | None]:
+    """Run `run(task)` for each task up to the first that fails.
+
+    Returns {task: result} of the tasks done and (task, exception) of the
+    failed one, or None.
+    """
+    done = {}
+    for task in tasks:
+        try:
+            done[task] = run(task)
+        except Exception as exc:
+            return done, (task, exc)
+    return done, None
 
 
-def _train_share_and_exit(config, jobs, write_fd: int) -> None:
-    """In a forked child: train `jobs`, send back the exception if one ends them, exit."""
+def _run_tasks_and_exit(run, tasks_of, k: int, write_fd: int) -> None:
+    """In forked child k: run the tasks of `tasks_of(k)`, send back what they gave, exit."""
     code = 1
     try:
         with open(write_fd, "wb") as pipe:
-            try:
-                _train_share(config, jobs)
-            except Exception as exc:
-                pipe.write(pickle.dumps(exc))
+            pipe.write(pickle.dumps(_run_tasks(run, tasks_of(k))))
         code = 0
     finally:
         os._exit(code)
 
 
-def _train_in_processes(config, jobs, processes: int) -> None:
-    """Train `jobs` in `processes` processes, each a contiguous share of them.
+def _in_processes(run, tasks_of, processes: int) -> dict:
+    """Run `run(task)` for each task of `tasks_of(k)` in process k; {task: result}.
 
-    This process trains share 0; forked children train the others. Every
-    child is waited for, also when this process's own share fails, and the
-    first failure in job order is raised, as one process would raise it.
+    Process 0 is this one, and processes 1 to `processes` - 1 are forked
+    children, each ending with `os._exit`. `tasks_of(k)` is called in
+    process k once every child is forked. Tasks are integers, and each
+    process stops at its first failing task; a child's results and its
+    failure come back pickled over a pipe. Every child is waited for, also
+    when this process fails, and the failure of the first task in task
+    order is raised, as one process running the tasks in order raises it.
     """
-    count = len(jobs)
-    shares = [jobs[i * count // processes:(i + 1) * count // processes] for i in range(processes)]
     sys.stdout.flush()  # so that no child holds a copy of unwritten output
     sys.stderr.flush()
-    children = []  # (pid, read end of the pipe its exception comes back on)
+    children = []  # (pid, read end of the pipe its report comes back on)
     try:
-        for share in shares[1:]:
+        for k in range(1, processes):
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
                 os.close(read_fd)
-                _train_share_and_exit(config, share, write_fd)
+                _run_tasks_and_exit(run, tasks_of, k, write_fd)
             os.close(write_fd)
             children.append((pid, read_fd))
-        _train_share(config, shares[0])
+        done, failure = _run_tasks(run, tasks_of(0))
     finally:
-        ends = []
+        reports = []
         for pid, read_fd in children:
             with open(read_fd, "rb") as pipe:
                 sent = pipe.read()
-            ends.append((sent, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
-    for sent, code in ends:
-        if sent:
-            raise pickle.loads(sent)  # written by this program's own child
-        if code != 0:
-            raise RuntimeError(f"a training process ended with exit code {code}")
+            reports.append((sent, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+    failures = [failure] if failure else []
+    for sent, code in reports:
+        if not sent:
+            raise RuntimeError(f"a worker process ended with exit code {code} before it reported")
+        child_done, child_failure = pickle.loads(sent)  # written by this program's own child
+        done.update(child_done)
+        if child_failure:
+            failures.append(child_failure)
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return done
 
 
 def cmd_train(args) -> int:
@@ -184,7 +200,16 @@ def cmd_train(args) -> int:
                 (seed, idx, out_dir / f"specialist_seed{seed}_{name}.json")
                 for idx, (name, _) in enumerate(config.contexts)
             ]
-    _train_in_processes(config, jobs, min(args.parallel, len(jobs)))
+
+    def train(job: int) -> None:
+        seed, idx, path = jobs[job]
+        harness.train_agent(config, seed, idx).save(path)
+
+    # process k trains the k-th of `processes` contiguous shares of the jobs
+    count, processes = len(jobs), min(args.parallel, len(jobs))
+    _in_processes(
+        train, lambda k: range(k * count // processes, (k + 1) * count // processes), processes
+    )
     print(f"trained {', '.join(modes)} for seeds {config.seeds}")
     return EXIT_OK
 
@@ -247,18 +272,91 @@ def _write_report(report: harness.EvalReport, out_dir: Path) -> None:
         front.to_csv(cells_dir / f"seed{cell['seed']}_{cell['context']}.csv")
 
 
+def _cells_early(config, front_for_cell):
+    """(work, front_for_cell): the work computes every cell now, seed by seed.
+
+    The returned front_for_cell gives a cell computed early, or raises the
+    exception that ended the early work at it, only when that cell is
+    scored, so the report and the first error are those of computing every
+    cell when it is scored.
+    """
+    early = {}
+
+    def work():
+        for seed in config.seeds:
+            for idx, (name, ctx) in enumerate(config.contexts):
+                try:
+                    early[seed, idx] = front_for_cell(seed, idx, name, ctx)
+                except Exception as exc:
+                    early[seed, idx] = exc
+                    return
+
+    def front_or_early(seed, idx, name, ctx):
+        if (seed, idx) not in early:
+            return front_for_cell(seed, idx, name, ctx)
+        front = early.pop((seed, idx))
+        if isinstance(front, Exception):
+            raise front
+        return front
+
+    return work, front_or_early
+
+
+def _reference_fronts(config, processes: int, early_work=None) -> dict[str, harness.ReferenceFront]:
+    """`harness.make_reference_fronts(config)`, computed in `processes` processes.
+
+    Processes claim contexts one at a time, in config order, from a pipe
+    that holds the index of the next unclaimed one; each front is drawn
+    on its context's own substream, so it does not depend on where it is
+    computed. This process forks first, then does `early_work`, if any,
+    then computes context 0, which is kept for it so that its share is
+    never empty, and claims like the others.
+    """
+    if processes == 1:
+        return harness.make_reference_fronts(config)
+    count = len(config.contexts)
+    read_fd, write_fd = os.pipe()
+    os.write(write_fd, (1).to_bytes(4, "little"))
+
+    def claims():
+        while (i := int.from_bytes(os.read(read_fd, 4), "little")) < count:
+            os.write(write_fd, (i + 1).to_bytes(4, "little"))
+            yield i
+        os.write(write_fd, i.to_bytes(4, "little"))  # "none left", for the next claimer
+
+    def tasks_of(k):
+        if k:
+            return claims()
+        if early_work is not None:
+            early_work()
+        return itertools.chain((0,), claims())
+
+    try:
+        done = _in_processes(
+            lambda i: harness.make_reference_fronts(config, [i]), tasks_of, processes
+        )
+    finally:
+        os.close(read_fd)
+        os.close(write_fd)
+    return {name: ref for i in sorted(done) for name, ref in done[i].items()}
+
+
 def cmd_eval(args) -> int:
     config, config_path = _load_config(args)
     if args.agents is not None:  # before any output or reference front
         kind = args.kind or "generalist"
         front_for_cell = _snapshot_fronts(config, Path(args.agents), kind)
+    elif args.random_baseline:
+        kind, front_for_cell = "random", harness.random_fronts(config)
     out_dir = Path(args.out)
     _write_manifest(out_dir, "eval", config_path, config.seeds[0])
-    refs = harness.make_reference_fronts(config)
+    processes = min(args.parallel, len(config.contexts))
+    early_work = None
+    if processes > 1 and not args.self_test:  # a self-test's fronts are the references
+        early_work, front_for_cell = _cells_early(config, front_for_cell)
+    refs = _reference_fronts(config, processes, early_work)
     if args.self_test:
         report = harness.evaluate_reference_self_test(config, refs)
-    elif args.random_baseline:
-        report = harness.evaluate_random_baseline(config, refs)
     else:
         report = harness.evaluate_custom(config, refs, kind, front_for_cell)
     _write_report(report, out_dir)
@@ -314,7 +412,10 @@ def cmd_report(args) -> int:
 
 
 def _process_count(text: str) -> int:
-    count = int(text)
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
     return count
@@ -361,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the snapshots' agent kind, with --agents only (default generalist)")
     p.add_argument("--seed", type=int, default=None, help="override config seeds")
     p.add_argument("--parallel", type=_process_count, default=1, metavar="N",
-                   help="accepted; eval runs in one process, and outputs are independent of it")
+                   help="compute the reference fronts in N processes (default 1); outputs are independent of it")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("report", help="render a report as a plain-text table")

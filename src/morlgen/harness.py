@@ -158,15 +158,19 @@ class ReferenceFront:
     epsilon: float = 0.0
 
 
-def make_reference_fronts(config: EvalConfig) -> dict[str, ReferenceFront]:
+def make_reference_fronts(config: EvalConfig, indices=None) -> dict[str, ReferenceFront]:
     """Best obtainable reference front per context, provenance recorded.
 
-    Backward induction runs on every context with the configured cap. A
-    cap-bound (epsilon-pruned) result is unioned with a specialist front.
+    Backward induction runs on every context (or on the contexts at
+    `indices`, in their order) with the configured cap. A cap-bound
+    (epsilon-pruned) result is unioned with a specialist front, drawn on
+    the context's own substream, so a front does not depend on which
+    others are computed with it.
     """
     refs: dict[str, ReferenceFront] = {}
     ref_stream = RandomStream(config.reference_seed, (_REFERENCE,))
-    for i, (name, ctx) in enumerate(config.contexts):
+    for i in range(len(config.contexts)) if indices is None else indices:
+        name, ctx = config.contexts[i]
         orf = oracle.pareto_backward_induction(
             ctx, config.gamma, config.max_steps, cap=config.oracle_cap
         )
@@ -418,11 +422,8 @@ def train_agent(config: EvalConfig, seed: int, idx: int | None = None) -> agents
     )
 
 
-def evaluate_random_baseline(
-    config: EvalConfig, refs: dict[str, ReferenceFront] | None = None
-) -> EvalReport:
-    """Score the uniform-random-policy floor baseline."""
-    refs = make_reference_fronts(config) if refs is None else refs
+def random_fronts(config: EvalConfig):
+    """front_for_cell of the uniform-random-policy floor baseline."""
 
     def front_for_cell(seed, idx, name, ctx):
         return agents.random_policy_front(
@@ -433,7 +434,15 @@ def evaluate_random_baseline(
             max_steps=config.max_steps,
         )
 
-    return evaluate_custom(config, refs, "random", front_for_cell)
+    return front_for_cell
+
+
+def evaluate_random_baseline(
+    config: EvalConfig, refs: dict[str, ReferenceFront] | None = None
+) -> EvalReport:
+    """Score the uniform-random-policy floor baseline."""
+    refs = make_reference_fronts(config) if refs is None else refs
+    return evaluate_custom(config, refs, "random", random_fronts(config))
 
 
 def evaluate_reference_self_test(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import micro_config, micro_context, micro_suite
-from morlgen import agents, harness
+from morlgen import agents, cli, harness, oracle
 from morlgen.cli import EXIT_APPROXIMATE, EXIT_INPUT_ERROR, EXIT_OK, main
 from morlgen.oracle import enumerate_returns
 
@@ -321,6 +321,167 @@ class TestParallelTrain:
         assert exc.value.code == EXIT_INPUT_ERROR
         assert "argument --parallel: must be at least 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("value", ["two", "1.5"])
+    def test_not_an_integer_exit_2_before_any_output(self, tmp_path, capsys, command, value):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "o"
+        scored = ["--self-test"] if command == "eval" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), *scored, "--parallel", value,
+                  "--out", str(out)])
+        assert exc.value.code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert f"argument --parallel: must be an integer, got '{value}'" in err
+        assert "_process_count" not in err
+        assert not out.exists()
+
+
+def eval_files(out):
+    """The bytes of `report.json`, `report.csv` and every `cells/` file of an eval."""
+    files = {name: (out / name).read_bytes() for name in ("report.json", "report.csv")}
+    files.update({f"cells/{p.name}": p.read_bytes() for p in (out / "cells").iterdir()})
+    return files
+
+
+def trivial_context(name):
+    """A context whose only goal is one step away: a degenerate, one-point reference."""
+    return micro_context(["G..", "...", "..."], [1.0, 0.0, 0.0], name, start=(0, 1))
+
+
+def config_of(tmp_path, contexts):
+    """A two-seed config of `contexts` [(name, context)], with tiny training."""
+    return write_config(
+        tmp_path, seeds=[0, 1], train_episodes=40, eval_episodes=20,
+        contexts=[{"name": name, "context": ctx.to_json_obj()} for name, ctx in contexts],
+    )
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):  # every child was waited for
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestParallelEval:
+    """`eval --parallel N` computes the reference fronts in N processes.
+
+    Each config here has at most 3 contexts, so no test starts more than 3
+    processes.
+    """
+
+    @pytest.mark.parametrize("scored", [
+        ["--agents", "SNAPS", "--kind", "generalist"],
+        ["--agents", "SNAPS", "--kind", "specialist"],
+        ["--random-baseline"],
+        ["--self-test"],
+    ], ids=["generalist", "specialist", "random", "self-test"])
+    def test_outputs_byte_identical(self, tmp_path, scored):
+        cfg = config_of(tmp_path, micro_suite()[:3])
+        snaps = tmp_path / "snaps"
+        if "--agents" in scored:
+            assert main(["train", "--config", str(cfg), "--out", str(snaps)]) == EXIT_OK
+        scored = [str(snaps) if flag == "SNAPS" else flag for flag in scored]
+        outputs = []
+        for parallel in ("1", "2", "3", "8"):
+            out = tmp_path / f"p{parallel}"
+            assert main(["eval", "--config", str(cfg), *scored, "--parallel", parallel,
+                         "--out", str(out)]) == EXIT_OK
+            outputs.append(eval_files(out))
+        assert len(outputs[0]) == 2 + 2 * 3  # the reports and a cell per (seed, context)
+        assert all(files == outputs[0] for files in outputs[1:])
+        assert_no_child_left()
+
+    def test_each_context_claimed_once(self, tmp_path, monkeypatch):
+        # Three processes, more than the CPUs of a 2-CPU machine, claim 60
+        # contexts; a lost or a repeated claim shows in the log that every
+        # computation appends to.
+        contexts = [(f"T{i}", trivial_context(f"T{i}")) for i in range(60)]
+        config = harness.EvalConfig(contexts=contexts, seeds=[0])
+        log = tmp_path / "claims"
+
+        def log_claim(config, indices):
+            (i,) = indices
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, f"{i}\n".encode())
+            finally:
+                os.close(fd)
+            return {config.contexts[i][0]: i}
+
+        monkeypatch.setattr(harness, "make_reference_fronts", log_claim)
+        refs = cli._reference_fronts(config, 3)
+        assert list(refs.items()) == [(f"T{i}", i) for i in range(60)]
+        assert sorted(int(line) for line in log.read_text().split()) == list(range(60))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("failing", [("ForkGY",), ("ForkGY", "ForkBG"), ("ForkYG", "ForkBG")],
+                             ids=["the second", "the second and third", "the first and third"])
+    @pytest.mark.parametrize("parallel", ["2", "3"])
+    def test_reference_failure_exits_2_as_one_process_does(self, tmp_path, capsys, monkeypatch,
+                                                           parallel, failing):
+        cfg = config_of(tmp_path, micro_suite()[:3])
+        backward_induction = oracle.pareto_backward_induction
+
+        def fail_some(context, *args, **kwargs):  # a forked child inherits it
+            if context.name in failing:
+                raise ValueError(f"reference of {context.name} failed")
+            return backward_induction(context, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "pareto_backward_induction", fail_some)
+        errors = []
+        for flags in ([], ["--parallel", parallel]):
+            assert main(["eval", "--config", str(cfg), "--random-baseline", *flags,
+                         "--out", str(tmp_path / "o")]) == EXIT_INPUT_ERROR
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == f"error: reference of {failing[0]} failed\n"
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("scored", ["random", "broken snapshot"])
+    def test_every_reference_degenerate_same_error(self, tmp_path, capsys, scored):
+        # With --parallel 1 the references come first, so a broken snapshot is never read.
+        cfg = config_of(tmp_path, [("Trivial", trivial_context("Trivial")),
+                                   ("Trivial2", trivial_context("Trivial2"))])
+        flags = ["--random-baseline"]
+        if scored == "broken snapshot":
+            snaps = tmp_path / "snaps"
+            assert main(["train", "--config", str(cfg), "--mode", "generalist",
+                         "--out", str(snaps)]) == EXIT_OK
+            (snaps / "generalist_seed0.json").write_text("{")
+            flags = ["--agents", str(snaps)]
+        errors = []
+        for parallel in ("1", "2"):
+            assert main(["eval", "--config", str(cfg), *flags, "--parallel", parallel,
+                         "--out", str(tmp_path / "o")]) == EXIT_INPUT_ERROR
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0] == ("error: every context has a degenerate reference front: "
+                             "['Trivial', 'Trivial2']\n")
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("broken, code", [
+        ("specialist_seed0_Trivial.json", EXIT_OK),
+        ("specialist_seed1_ForkYG.json", EXIT_INPUT_ERROR),
+    ], ids=["an excluded context's", "a scored context's"])
+    def test_broken_snapshot_as_one_process_reads_it(self, tmp_path, capsys, broken, code):
+        # The own process computes every cell before the references are in;
+        # a cell's error counts only when the cell is scored.
+        cfg = config_of(tmp_path, [("ForkYG", micro_suite()[0][1]),
+                                   ("Trivial", trivial_context("Trivial"))])
+        snaps = tmp_path / "snaps"
+        assert main(["train", "--config", str(cfg), "--mode", "specialists",
+                     "--out", str(snaps)]) == EXIT_OK
+        (snaps / broken).write_text("{")
+        results = []
+        for parallel in ("1", "2"):
+            out = tmp_path / f"p{parallel}"
+            assert main(["eval", "--config", str(cfg), "--agents", str(snaps), "--kind",
+                         "specialist", "--parallel", parallel, "--out", str(out)]) == code
+            captured = capsys.readouterr()
+            results.append((captured.err, eval_files(out) if code == EXIT_OK else None))
+        assert results[0] == results[1]
+        assert (str(snaps / broken) in results[0][0]) == (code != EXIT_OK)
+        assert_no_child_left()
 
 
 class TestEvalCommand:

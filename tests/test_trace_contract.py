@@ -6,7 +6,8 @@ last line of a traced run, in strict JSON. These tests use that module
 read-only: every wrapped function must exist, and a tiny traced
 train/eval run must give the expected metric names with plain, finite
 Python numbers, also when `train --parallel 2` trains a share of its
-agents in a forked child.
+agents in a forked child, and when `eval --parallel 2` computes a share
+of its reference fronts in one.
 """
 
 import importlib
@@ -59,17 +60,18 @@ def test_every_wrapped_function_exists(tracing):
         assert vars(owner).get(path[-1]) is not None, name
 
 
-def traced_metrics(tracing, tmp_path, *train_flags):
+def traced_metrics(tracing, tmp_path, train_flags=(), eval_flags=()):
     """The per-layer metrics of a tiny traced train/eval run, checked as strict JSON."""
     config = str(write_config(tmp_path, train_episodes=40, eval_episodes=20))
     snaps = str(tmp_path / "snapshots")
     commands = [
         ["train", "--config", config, "--out", snaps, *train_flags],
         ["eval", "--config", config, "--agents", snaps, "--kind", "specialist",
-         "--out", str(tmp_path / "specialist")],
+         "--out", str(tmp_path / "specialist"), *eval_flags],
         ["eval", "--config", config, "--agents", snaps, "--kind", "generalist",
-         "--out", str(tmp_path / "generalist")],
-        ["eval", "--config", config, "--random-baseline", "--out", str(tmp_path / "random")],
+         "--out", str(tmp_path / "generalist"), *eval_flags],
+        ["eval", "--config", config, "--random-baseline", "--out", str(tmp_path / "random"),
+         *eval_flags],
     ]
     tracer = tracing.Tracer()
     tracer.install()
@@ -97,5 +99,13 @@ def test_tiny_traced_run_gives_strict_json_metrics(tracing, tmp_path):
 def test_traced_run_training_in_two_processes_keeps_every_metric(tracing, tmp_path):
     # The jobs are the generalist, then the two specialists: this process
     # trains the first share, the generalist, and a forked child the rest.
-    metrics = traced_metrics(tracing, tmp_path, "--parallel", "2")
+    metrics = traced_metrics(tracing, tmp_path, train_flags=["--parallel", "2"])
     assert metrics["agents.train_episodes"][0] == 40
+
+
+def test_traced_run_evaluating_in_two_processes_keeps_every_metric(tracing, tmp_path):
+    # Each eval's own process computes the first context's reference, and
+    # may claim the second before the forked child does.
+    metrics = traced_metrics(tracing, tmp_path, eval_flags=["--parallel", "2"])
+    assert 3 <= metrics["oracle.backward_induction_calls"][0] <= 6
+    assert metrics["agents.train_episodes"][0] == 2 * 40 + 40
