@@ -132,42 +132,53 @@ def _run_tasks(run, tasks) -> tuple[dict, tuple | None]:
     return done, None
 
 
-def _run_tasks_and_exit(run, tasks_of, k: int, write_fd: int) -> None:
-    """In forked child k: run the tasks of `tasks_of(k)`, send back what they gave, exit."""
-    code = 1
-    try:
-        with open(write_fd, "wb") as pipe:
-            pipe.write(pickle.dumps(_run_tasks(run, tasks_of(k))))
-        code = 0
-    finally:
-        os._exit(code)
+def _in_processes(run, count: int, processes: int, first=None) -> dict:
+    """Run `run(task)` for tasks 0 to `count` - 1 in `processes` processes; {task: result}.
 
-
-def _in_processes(run, tasks_of, processes: int) -> dict:
-    """Run `run(task)` for each task of `tasks_of(k)` in process k; {task: result}.
-
-    Process 0 is this one, and processes 1 to `processes` - 1 are forked
-    children, each ending with `os._exit`. `tasks_of(k)` is called in
-    process k once every child is forked. Tasks are integers, and each
-    process stops at its first failing task; a child's results and its
-    failure come back pickled over a pipe. Every child is waited for, also
-    when this process fails, and the failure of the first task in task
-    order is raised, as one process running the tasks in order raises it.
+    This process forks min(`processes`, `count`) - 1 children, each ending
+    with `os._exit`, then calls `first()`, if given, and runs task 0, which
+    is kept for it so that its share is never empty. Every process then
+    claims tasks one at a time, in order, from a pipe that holds the next
+    unclaimed one, and stops at its first failing task; a child's results
+    and its failure come back pickled over a pipe. Every child is waited
+    for, also when this process fails, and the failure of the first task
+    in task order is raised, as one process running the tasks in order
+    raises it.
     """
+    assert count >= 1, "the pool needs a task"
     sys.stdout.flush()  # so that no child holds a copy of unwritten output
     sys.stderr.flush()
+    next_read, next_write = os.pipe()
+    os.write(next_write, (1).to_bytes(4, "little"))
+
+    def claims():
+        while (task := int.from_bytes(os.read(next_read, 4), "little")) < count:
+            os.write(next_write, (task + 1).to_bytes(4, "little"))
+            yield task
+        os.write(next_write, task.to_bytes(4, "little"))  # "none left", for the next claimer
+
     children = []  # (pid, read end of the pipe its report comes back on)
     try:
-        for k in range(1, processes):
+        for _ in range(1, min(processes, count)):
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
-                os.close(read_fd)
-                _run_tasks_and_exit(run, tasks_of, k, write_fd)
+                code = 1
+                try:
+                    os.close(read_fd)
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(pickle.dumps(_run_tasks(run, claims())))
+                    code = 0
+                finally:
+                    os._exit(code)
             os.close(write_fd)
             children.append((pid, read_fd))
-        done, failure = _run_tasks(run, tasks_of(0))
+        if first is not None:
+            first()
+        done, failure = _run_tasks(run, itertools.chain((0,), claims()))
     finally:
+        os.close(next_read)
+        os.close(next_write)
         reports = []
         for pid, read_fd in children:
             with open(read_fd, "rb") as pipe:
@@ -205,11 +216,7 @@ def cmd_train(args) -> int:
         seed, idx, path = jobs[job]
         harness.train_agent(config, seed, idx).save(path)
 
-    # process k trains the k-th of `processes` contiguous shares of the jobs
-    count, processes = len(jobs), min(args.parallel, len(jobs))
-    _in_processes(
-        train, lambda k: range(k * count // processes, (k + 1) * count // processes), processes
-    )
+    _in_processes(train, len(jobs), args.parallel)
     print(f"trained {', '.join(modes)} for seeds {config.seeds}")
     return EXIT_OK
 
@@ -302,43 +309,18 @@ def _cells_early(config, front_for_cell):
     return work, front_or_early
 
 
-def _reference_fronts(config, processes: int, early_work=None) -> dict[str, harness.ReferenceFront]:
+def _reference_fronts(config, processes: int, first=None) -> dict[str, harness.ReferenceFront]:
     """`harness.make_reference_fronts(config)`, computed in `processes` processes.
 
-    Processes claim contexts one at a time, in config order, from a pipe
-    that holds the index of the next unclaimed one; each front is drawn
-    on its context's own substream, so it does not depend on where it is
-    computed. This process forks first, then does `early_work`, if any,
-    then computes context 0, which is kept for it so that its share is
-    never empty, and claims like the others.
+    `_in_processes` computes one context per task, `first` coming first in
+    this process; each front is drawn on its context's own substream, so
+    it does not depend on where it is computed.
     """
-    if processes == 1:
-        return harness.make_reference_fronts(config)
     count = len(config.contexts)
-    read_fd, write_fd = os.pipe()
-    os.write(write_fd, (1).to_bytes(4, "little"))
-
-    def claims():
-        while (i := int.from_bytes(os.read(read_fd, 4), "little")) < count:
-            os.write(write_fd, (i + 1).to_bytes(4, "little"))
-            yield i
-        os.write(write_fd, i.to_bytes(4, "little"))  # "none left", for the next claimer
-
-    def tasks_of(k):
-        if k:
-            return claims()
-        if early_work is not None:
-            early_work()
-        return itertools.chain((0,), claims())
-
-    try:
-        done = _in_processes(
-            lambda i: harness.make_reference_fronts(config, [i]), tasks_of, processes
-        )
-    finally:
-        os.close(read_fd)
-        os.close(write_fd)
-    return {name: ref for i in sorted(done) for name, ref in done[i].items()}
+    done = _in_processes(
+        lambda i: harness.make_reference_fronts(config, [i]), count, processes, first
+    )
+    return {name: ref for i in range(count) for name, ref in done[i].items()}
 
 
 def cmd_eval(args) -> int:
@@ -350,11 +332,10 @@ def cmd_eval(args) -> int:
         kind, front_for_cell = "random", harness.random_fronts(config)
     out_dir = Path(args.out)
     _write_manifest(out_dir, "eval", config_path, config.seeds[0])
-    processes = min(args.parallel, len(config.contexts))
     early_work = None
-    if processes > 1 and not args.self_test:  # a self-test's fronts are the references
+    if args.parallel > 1 and not args.self_test:  # a self-test's fronts are the references
         early_work, front_for_cell = _cells_early(config, front_for_cell)
-    refs = _reference_fronts(config, processes, early_work)
+    refs = _reference_fronts(config, args.parallel, early_work)
     if args.self_test:
         report = harness.evaluate_reference_self_test(config, refs)
     else:
@@ -448,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=["generalist", "specialists"],
     )
     p.add_argument("--parallel", type=_process_count, default=1, metavar="N",
-                   help="train the agents in N processes (default 1); snapshots are independent of it")
+                   help="train the agents in N processes, which claim them one at a time "
+                        "(default 1); snapshots are independent of it")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate agents and write a report")
@@ -478,6 +460,8 @@ def main(argv=None) -> int:
     if args.command == "eval" and args.kind is not None and args.agents is None:
         other = "--self-test" if args.self_test else "--random-baseline"
         parser.error(f"argument --kind: not allowed with argument {other}")
+    if args.command == "train" and (repeated := harness._repeated(args.mode)):
+        parser.error(f"argument --mode: each mode may be given once, repeated: {repeated}")
     try:
         return args.func(args)
     except (InputError, ValueError, OSError) as exc:

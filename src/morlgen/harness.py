@@ -54,6 +54,11 @@ _INT_FIELDS = {
 }
 
 
+def _repeated(values) -> list:
+    """The values that occur more than once, sorted."""
+    return sorted({value for value in values if values.count(value) > 1})
+
+
 @dataclass
 class EvalConfig:
     """Everything needed to reproduce one evaluation run."""
@@ -84,8 +89,7 @@ class EvalConfig:
                 raise ValueError(
                     f"context names must be nonempty strings without '/', got {name!r}"
                 )
-        repeated = sorted({name for name in names if names.count(name) > 1})
-        if repeated:
+        if repeated := _repeated(names):
             raise ValueError(f"context names must be distinct, repeated: {repeated}")
         for name, ctx in self.contexts:  # checked here, before any output
             try:
@@ -96,6 +100,8 @@ class EvalConfig:
             raise ValueError("config must declare at least one seed")
         if not all(_is_int(seed) and seed >= 0 for seed in self.seeds):
             raise ValueError(f"seeds must be nonnegative integers, got {self.seeds!r}")
+        if repeated := _repeated(self.seeds):  # a seed names snapshots and cells
+            raise ValueError(f"seeds must be distinct, repeated: {repeated}")
         for name, least in _INT_FIELDS.items():
             value = getattr(self, name)
             if not (_is_int(value) and value >= least):

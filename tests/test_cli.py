@@ -181,6 +181,12 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "context names" in err and message in err
 
+    def test_repeated_seeds_exit_2_before_any_output(self, tmp_path, capsys):
+        # a repeated seed would train one snapshot twice and count its cells twice
+        self.assert_train_and_eval_exit_2(tmp_path, write_config(tmp_path, seeds=[0, 2, 0, 2, 1]))
+        assert not (tmp_path / "t").exists() and not (tmp_path / "e").exists()
+        assert "seeds must be distinct, repeated: [0, 2]" in capsys.readouterr().err
+
     @NAN_WEIGHTS
     def test_nan_goal_weights_exit_2_before_any_output(self, tmp_path, capsys, weights):
         obj = json.loads(write_config(tmp_path).read_text())
@@ -251,6 +257,17 @@ class TestTrainCommand:
             outs.append((out / "generalist_seed0.json").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("modes", [["generalist", "generalist"],
+                                       ["specialists", "generalist", "specialists"]])
+    def test_repeated_mode_usage_error_before_any_output(self, tmp_path, capsys, modes):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", str(write_config(tmp_path)), "--mode", *modes,
+                  "--out", str(out)])
+        assert exc.value.code == EXIT_INPUT_ERROR
+        assert "argument --mode: each mode may be given once, repeated: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_specialist_snapshots_written(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "o"
@@ -268,11 +285,15 @@ def snapshot_files(out):
     return files, manifest
 
 
-class TestParallelTrain:
-    """`train --parallel N` trains contiguous shares of its jobs in N processes.
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):  # every child was waited for
+        os.waitpid(-1, os.WNOHANG)
 
-    Each config here has at most 3 jobs, so no test starts more than 3
-    processes.
+
+class TestParallelTrain:
+    """`train --parallel N` trains its jobs in N processes, which claim them one at a time.
+
+    No test here starts more than 3 processes.
     """
 
     def test_snapshots_byte_identical(self, tmp_path):
@@ -285,6 +306,34 @@ class TestParallelTrain:
             outputs.append(snapshot_files(out))
         assert len(outputs[0][0]) == 3
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_each_job_trained_once(self, tmp_path, monkeypatch):
+        # Three processes, more than the CPUs of a 2-CPU machine, claim 24
+        # jobs; a lost or a repeated claim shows in the log that every
+        # training appends to, though not in the snapshots, which a second
+        # training of a job would simply rewrite.
+        cfg = write_config(tmp_path, seeds=[0, 1, 2, 3, 4, 5, 6, 7])  # 8 x 3 jobs
+        log = tmp_path / "jobs"
+
+        class Untrained:
+            def save(self, path):
+                pass
+
+        def log_job(config, seed, idx=None):  # a forked child inherits it
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, f"{seed} {idx}\n".encode())
+            finally:
+                os.close(fd)
+            return Untrained()
+
+        monkeypatch.setattr(harness, "train_agent", log_job)
+        assert main(["train", "--config", str(cfg), "--parallel", "3",
+                     "--out", str(tmp_path / "o")]) == EXIT_OK
+        jobs = sorted(tuple(line.split()) for line in log.read_text().splitlines())
+        assert jobs == sorted((str(seed), idx) for seed in range(8)
+                              for idx in ("None", "0", "1"))
+        assert_no_child_left()
 
     @pytest.mark.parametrize("failing", [(1,), (0, 1), (None, 1)],
                              ids=["one specialist", "two specialists", "generalist and a specialist"])
@@ -356,11 +405,6 @@ def config_of(tmp_path, contexts):
         tmp_path, seeds=[0, 1], train_episodes=40, eval_episodes=20,
         contexts=[{"name": name, "context": ctx.to_json_obj()} for name, ctx in contexts],
     )
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):  # every child was waited for
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestParallelEval:

@@ -5,7 +5,7 @@ names in `WRAPS`, and the benchmark prints its per-layer metrics as the
 last line of a traced run, in strict JSON. These tests use that module
 read-only: every wrapped function must exist, and a tiny traced
 train/eval run must give the expected metric names with plain, finite
-Python numbers, also when `train --parallel 2` trains a share of its
+Python numbers, also when `train --parallel 2` trains some of its
 agents in a forked child, and when `eval --parallel 2` computes a share
 of its reference fronts in one.
 """
@@ -97,10 +97,11 @@ def test_tiny_traced_run_gives_strict_json_metrics(tracing, tmp_path):
 
 
 def test_traced_run_training_in_two_processes_keeps_every_metric(tracing, tmp_path):
-    # The jobs are the generalist, then the two specialists: this process
-    # trains the first share, the generalist, and a forked child the rest.
+    # The jobs are the generalist, then the two specialists, 40 episodes
+    # each: this process trains the generalist, and may claim either
+    # specialist or both before the forked child does.
     metrics = traced_metrics(tracing, tmp_path, train_flags=["--parallel", "2"])
-    assert metrics["agents.train_episodes"][0] == 40
+    assert metrics["agents.train_episodes"][0] in (40, 2 * 40, 3 * 40)
 
 
 def test_traced_run_evaluating_in_two_processes_keeps_every_metric(tracing, tmp_path):
