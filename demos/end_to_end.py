@@ -54,7 +54,7 @@ def main() -> None:
     agg = report.aggregates
     print(f"\nNHGR IQM={agg['nhgr_iqm']:.3f}  optimality gap={agg['nhgr_optimality_gap']:.3f}")
 
-    floor = harness.evaluate_random_baseline(config, refs)
+    floor = harness.evaluate_custom(config, refs, "random", harness.random_fronts(config))
     print(f"random-policy floor gap={floor.aggregates['nhgr_optimality_gap']:.3f}")
 
 

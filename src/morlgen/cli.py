@@ -132,18 +132,17 @@ def _run_tasks(run, tasks) -> tuple[dict, tuple | None]:
     return done, None
 
 
-def _in_processes(run, count: int, processes: int, first=None) -> dict:
+def _in_processes(run, count: int, processes: int) -> dict:
     """Run `run(task)` for tasks 0 to `count` - 1 in `processes` processes; {task: result}.
 
     This process forks min(`processes`, `count`) - 1 children, each ending
-    with `os._exit`, then calls `first()`, if given, and runs task 0, which
-    is kept for it so that its share is never empty. Every process then
-    claims tasks one at a time, in order, from a pipe that holds the next
-    unclaimed one, and stops at its first failing task; a child's results
-    and its failure come back pickled over a pipe. Every child is waited
-    for, also when this process fails, and the failure of the first task
-    in task order is raised, as one process running the tasks in order
-    raises it.
+    with `os._exit`, then runs task 0, which is kept for it so that its
+    share is never empty. Every process then claims tasks one at a time,
+    in order, from a pipe that holds the next unclaimed one, and stops at
+    its first failing task; a child's results and its failure come back
+    pickled over a pipe. Every child is waited for, also when this process
+    fails, and the failure of the first task in task order is raised, as
+    one process running the tasks in order raises it.
     """
     assert count >= 1, "the pool needs a task"
     sys.stdout.flush()  # so that no child holds a copy of unwritten output
@@ -173,8 +172,6 @@ def _in_processes(run, count: int, processes: int, first=None) -> dict:
                     os._exit(code)
             os.close(write_fd)
             children.append((pid, read_fd))
-        if first is not None:
-            first()
         done, failure = _run_tasks(run, itertools.chain((0,), claims()))
     finally:
         os.close(next_read)
@@ -279,47 +276,15 @@ def _write_report(report: harness.EvalReport, out_dir: Path) -> None:
         front.to_csv(cells_dir / f"seed{cell['seed']}_{cell['context']}.csv")
 
 
-def _cells_early(config, front_for_cell):
-    """(work, front_for_cell): the work computes every cell now, seed by seed.
-
-    The returned front_for_cell gives a cell computed early, or raises the
-    exception that ended the early work at it, only when that cell is
-    scored, so the report and the first error are those of computing every
-    cell when it is scored.
-    """
-    early = {}
-
-    def work():
-        for seed in config.seeds:
-            for idx, (name, ctx) in enumerate(config.contexts):
-                try:
-                    early[seed, idx] = front_for_cell(seed, idx, name, ctx)
-                except Exception as exc:
-                    early[seed, idx] = exc
-                    return
-
-    def front_or_early(seed, idx, name, ctx):
-        if (seed, idx) not in early:
-            return front_for_cell(seed, idx, name, ctx)
-        front = early.pop((seed, idx))
-        if isinstance(front, Exception):
-            raise front
-        return front
-
-    return work, front_or_early
-
-
-def _reference_fronts(config, processes: int, first=None) -> dict[str, harness.ReferenceFront]:
+def _reference_fronts(config, processes: int) -> dict[str, harness.ReferenceFront]:
     """`harness.make_reference_fronts(config)`, computed in `processes` processes.
 
-    `_in_processes` computes one context per task, `first` coming first in
-    this process; each front is drawn on its context's own substream, so
-    it does not depend on where it is computed.
+    `_in_processes` computes one context per task; each front is drawn on
+    its context's own substream, so it does not depend on where it is
+    computed.
     """
     count = len(config.contexts)
-    done = _in_processes(
-        lambda i: harness.make_reference_fronts(config, [i]), count, processes, first
-    )
+    done = _in_processes(lambda i: harness.make_reference_fronts(config, [i]), count, processes)
     return {name: ref for i in range(count) for name, ref in done[i].items()}
 
 
@@ -332,14 +297,20 @@ def cmd_eval(args) -> int:
         kind, front_for_cell = "random", harness.random_fronts(config)
     out_dir = Path(args.out)
     _write_manifest(out_dir, "eval", config_path, config.seeds[0])
-    early_work = None
-    if args.parallel > 1 and not args.self_test:  # a self-test's fronts are the references
-        early_work, front_for_cell = _cells_early(config, front_for_cell)
-    refs = _reference_fronts(config, args.parallel, early_work)
+    refs = _reference_fronts(config, args.parallel)
     if args.self_test:
         report = harness.evaluate_reference_self_test(config, refs)
     else:
-        report = harness.evaluate_custom(config, refs, kind, front_for_cell)
+        scored = harness.scored_contexts(config, refs)
+
+        def seed_fronts(task: int) -> dict[int, ParetoFront]:  # one seed's scored cells
+            seed = config.seeds[task]
+            return {idx: front_for_cell(seed, idx, name, ctx) for idx, name, ctx in scored}
+
+        done = _in_processes(seed_fronts, len(config.seeds), args.parallel)
+        report = harness.evaluate_custom(
+            config, refs, kind, lambda seed, idx, name, ctx: done[config.seeds.index(seed)][idx]
+        )
     _write_report(report, out_dir)
     _print_summary(report)
     return EXIT_OK
@@ -444,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the snapshots' agent kind, with --agents only (default generalist)")
     p.add_argument("--seed", type=int, default=None, help="override config seeds")
     p.add_argument("--parallel", type=_process_count, default=1, metavar="N",
-                   help="compute the reference fronts in N processes (default 1); outputs are independent of it")
+                   help="compute the reference fronts, then each seed's scored cells, in N processes "
+                        "(default 1); outputs are independent of it")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("report", help="render a report as a plain-text table")

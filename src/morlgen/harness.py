@@ -135,19 +135,31 @@ class EvalConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "EvalConfig":
+        if not isinstance(obj, dict):
+            raise ValueError("a config must be a JSON object")
         try:
             unknown = sorted(set(obj) - {f.name for f in fields(cls)})
             if unknown:
                 raise ValueError(f"invalid config: unknown key(s) {unknown}")
+            for key in ("contexts", "seeds"):
+                if key not in obj:
+                    raise ValueError(f"invalid config: missing key {key!r}")
+                if not isinstance(obj[key], list):
+                    raise ValueError(f"invalid config: {key} must be a list, got {obj[key]!r}")
             contexts = []
-            for item in obj["contexts"]:
+            for i, item in enumerate(obj["contexts"]):
+                if not (isinstance(item, dict) and ("builtin" in item or "context" in item)):
+                    raise ValueError(
+                        f"invalid config: contexts[{i}] must be an object "
+                        f"with a 'builtin' or a 'context' key, got {item!r}"
+                    )
                 if "builtin" in item:
                     name = item["builtin"]
                     contexts.append((item.get("name", name), builtin_context(name)))
                 else:
                     ctx = LavaGridContext.from_json_obj(item["context"])
                     contexts.append((item.get("name", ctx.name or "context"), ctx))
-            kwargs = dict(obj, contexts=contexts, seeds=list(obj["seeds"]))
+            kwargs = dict(obj, contexts=contexts)
             if "dr_lava_range" in obj:
                 kwargs["dr_lava_range"] = tuple(obj["dr_lava_range"])
             return cls(**kwargs)
@@ -339,30 +351,41 @@ def _reference_valid(ref: ReferenceFront) -> bool:
     return hv_norm(ref.front, bounds) > 0.0
 
 
+def scored_contexts(
+    config: EvalConfig, refs: dict[str, ReferenceFront]
+) -> list[tuple[int, str, LavaGridContext]]:
+    """The scored contexts, (index, name, context) in name order.
+
+    A context whose reference front is degenerate is left out. Raises
+    ValueError when every context's is.
+    """
+    ordered = sorted((name, idx, ctx) for idx, (name, ctx) in enumerate(config.contexts))
+    scored = [(idx, name, ctx) for name, idx, ctx in ordered if _reference_valid(refs[name])]
+    if not scored:
+        raise ValueError(
+            f"every context has a degenerate reference front: {[name for name, _, _ in ordered]}"
+        )
+    return scored
+
+
 def evaluate_custom(
     config: EvalConfig,
     refs: dict[str, ReferenceFront],
     agent_kind: str,
     front_for_cell,
 ) -> EvalReport:
-    """Score `front_for_cell(seed, index, name, context)` over all cells.
+    """Score `front_for_cell(seed, index, name, context)` over the scored cells.
 
     Raises ValueError, before any cell is scored, when every context's
     reference front is degenerate.
     """
-    ordered = sorted(enumerate(config.contexts), key=lambda item: item[1][0])
-    valid = {name: _reference_valid(refs[name]) for _, (name, _) in ordered}
-    excluded = sorted(name for name, ok in valid.items() if not ok)
-    if len(excluded) == len(valid):
-        raise ValueError(
-            f"every context has a degenerate reference front: {excluded}"
-        )
+    scored = scored_contexts(config, refs)
+    names = sorted(name for name, _ in config.contexts)
+    excluded = sorted(set(names) - {name for _, name, _ in scored})
 
     cells: list[dict] = []
     for seed in config.seeds:
-        for idx, (name, ctx) in ordered:
-            if not valid[name]:
-                continue
+        for idx, name, ctx in scored:
             ref = refs[name]
             front = front_for_cell(seed, idx, name, ctx)
             weights = sample_simplex_batch(
@@ -398,7 +421,7 @@ def evaluate_custom(
                 "epsilon": refs[name].epsilon,
                 "front": refs[name].front.to_json_obj(),
             }
-            for _, (name, _) in ordered
+            for name in names
         },
         excluded_contexts=excluded,
         aggregates=_aggregate(cells),
@@ -443,19 +466,10 @@ def random_fronts(config: EvalConfig):
     return front_for_cell
 
 
-def evaluate_random_baseline(
-    config: EvalConfig, refs: dict[str, ReferenceFront] | None = None
-) -> EvalReport:
-    """Score the uniform-random-policy floor baseline."""
-    refs = make_reference_fronts(config) if refs is None else refs
-    return evaluate_custom(config, refs, "random", random_fronts(config))
-
-
 def evaluate_reference_self_test(
-    config: EvalConfig, refs: dict[str, ReferenceFront] | None = None
+    config: EvalConfig, refs: dict[str, ReferenceFront]
 ) -> EvalReport:
     """Self-test: score the reference fronts against themselves (NHGR = 1)."""
-    refs = make_reference_fronts(config) if refs is None else refs
 
     def front_for_cell(seed, idx, name, ctx):
         return refs[name].front

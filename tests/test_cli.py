@@ -181,6 +181,33 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "context names" in err and message in err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda obj: [1, 2], "a config must be a JSON object"),
+        (lambda obj: "abc", "a config must be a JSON object"),
+        (lambda obj: 3, "a config must be a JSON object"),
+        (lambda obj: None, "a config must be a JSON object"),
+        (lambda obj: {**obj, "contexts": "Maze"},
+         "invalid config: contexts must be a list, got 'Maze'"),
+        (lambda obj: {**obj, "seeds": 3}, "invalid config: seeds must be a list, got 3"),
+        (lambda obj: {key: obj[key] for key in obj if key != "seeds"},
+         "invalid config: missing key 'seeds'"),
+        (lambda obj: {**obj, "contexts": [obj["contexts"][0], "Maze"]},
+         "invalid config: contexts[1] must be an object with a 'builtin' or a 'context' key, "
+         "got 'Maze'"),
+        (lambda obj: {**obj, "contexts": [{}]},
+         "invalid config: contexts[0] must be an object with a 'builtin' or a 'context' key, "
+         "got {}"),
+    ], ids=["a list", "a string", "a number", "null", "contexts a string", "seeds a number",
+            "no seeds", "a context a string", "an empty context"])
+    def test_malformed_shape_exit_2_before_any_output(self, tmp_path, capsys, edit, message):
+        cfg = tmp_path / "shape.json"
+        cfg.write_text(json.dumps(edit(json.loads(write_config(tmp_path).read_text()))))
+        self.assert_train_and_eval_exit_2(tmp_path, cfg)
+        assert not (tmp_path / "t").exists() and not (tmp_path / "e").exists()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"error: {cfg}: {message}\n" * 2
+
     def test_repeated_seeds_exit_2_before_any_output(self, tmp_path, capsys):
         # a repeated seed would train one snapshot twice and count its cells twice
         self.assert_train_and_eval_exit_2(tmp_path, write_config(tmp_path, seeds=[0, 2, 0, 2, 1]))
@@ -408,7 +435,7 @@ def config_of(tmp_path, contexts):
 
 
 class TestParallelEval:
-    """`eval --parallel N` computes the reference fronts in N processes.
+    """`eval --parallel N` computes the reference fronts, then each seed's cells, in N processes.
 
     Each config here has at most 3 contexts, so no test starts more than 3
     processes.
@@ -457,6 +484,56 @@ class TestParallelEval:
         refs = cli._reference_fronts(config, 3)
         assert list(refs.items()) == [(f"T{i}", i) for i in range(60)]
         assert sorted(int(line) for line in log.read_text().split()) == list(range(60))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("parallel", ["1", "2", "3"])
+    def test_only_scored_cells_computed_each_once(self, tmp_path, monkeypatch, parallel):
+        # The two Trivial contexts have degenerate references, so their cells
+        # are never scored: no process may compute them, and none may compute
+        # a scored cell a second time.
+        (yg, fork_yg), (gy, fork_gy) = micro_suite()[:2]
+        contexts = [(yg, fork_yg), ("Trivial", trivial_context("Trivial")), (gy, fork_gy),
+                    ("Trivial2", trivial_context("Trivial2"))]
+        cfg = write_config(
+            tmp_path, seeds=[0, 1, 2], train_episodes=40, eval_episodes=20,
+            contexts=[{"name": name, "context": ctx.to_json_obj()} for name, ctx in contexts],
+        )
+        snaps = tmp_path / "snaps"
+        assert main(["train", "--config", str(cfg), "--mode", "generalist",
+                     "--out", str(snaps)]) == EXIT_OK
+        for seed in range(3):  # so that an agent front can name its seed
+            path = snaps / f"generalist_seed{seed}.json"
+            obj = json.loads(path.read_text())
+            obj["metadata"]["seed"] = seed
+            path.write_text(json.dumps(obj))
+        log = tmp_path / "cells"
+
+        def log_cell(kind, seed, ctx):  # a forked child inherits it
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, f"{kind} {seed} {ctx.name}\n".encode())
+            finally:
+                os.close(fd)
+
+        build_front, random_policy_front = agents.build_front, agents.random_policy_front
+
+        def agent_front(q, ctx, *args, **kwargs):
+            log_cell("agent", q.metadata["seed"], ctx)
+            return build_front(q, ctx, *args, **kwargs)
+
+        def random_front(ctx, n, gamma, stream, **kwargs):
+            log_cell("random", stream.base_seed, ctx)
+            return random_policy_front(ctx, n, gamma, stream, **kwargs)
+
+        monkeypatch.setattr(agents, "build_front", agent_front)
+        monkeypatch.setattr(agents, "random_policy_front", random_front)
+        for scored in (["--agents", str(snaps)], ["--random-baseline"]):
+            assert main(["eval", "--config", str(cfg), *scored, "--parallel", parallel,
+                         "--out", str(tmp_path / scored[0])]) == EXIT_OK
+        assert sorted(log.read_text().splitlines()) == sorted(
+            f"{kind} {seed} {name}"
+            for kind in ("agent", "random") for seed in range(3) for name in (yg, gy)
+        )
         assert_no_child_left()
 
     @pytest.mark.parametrize("failing", [("ForkGY",), ("ForkGY", "ForkBG"), ("ForkYG", "ForkBG")],
@@ -508,8 +585,8 @@ class TestParallelEval:
         ("specialist_seed1_ForkYG.json", EXIT_INPUT_ERROR),
     ], ids=["an excluded context's", "a scored context's"])
     def test_broken_snapshot_as_one_process_reads_it(self, tmp_path, capsys, broken, code):
-        # The own process computes every cell before the references are in;
-        # a cell's error counts only when the cell is scored.
+        # Only the scored contexts' cells are computed, so only a scored
+        # context's broken snapshot is read.
         cfg = config_of(tmp_path, [("ForkYG", micro_suite()[0][1]),
                                    ("Trivial", trivial_context("Trivial"))])
         snaps = tmp_path / "snaps"

@@ -12,12 +12,16 @@ from morlgen.harness import (
     EvalConfig,
     EvalReport,
     evaluate_custom,
-    evaluate_random_baseline,
     evaluate_reference_self_test,
     make_reference_fronts,
+    random_fronts,
 )
 from morlgen.oracle import pareto_backward_induction
 from morlgen.stats import iqm, optimality_gap
+
+
+def random_report(cfg):
+    return evaluate_custom(cfg, make_reference_fronts(cfg), "random", random_fronts(cfg))
 
 
 def tiny_config(**overrides):
@@ -89,7 +93,7 @@ class TestEvalConfig:
             lambda ctx, count, *args, **kwargs:
                 counts.append(count) or rollouts(ctx, count, *args, **kwargs),
         )
-        evaluate_random_baseline(cfg)
+        random_report(cfg)
         assert counts == [14] * len(cfg.contexts)
 
     def test_eval_episodes_zero_rejected(self):
@@ -128,7 +132,7 @@ class TestReferenceFronts:
 class TestSelfTest:
     def test_reference_scores_itself_perfectly(self):
         cfg = tiny_config()
-        report = evaluate_reference_self_test(cfg)
+        report = evaluate_reference_self_test(cfg, make_reference_fronts(cfg))
         assert report.cells, "no cells evaluated"
         for cell in report.cells:
             assert cell["nhgr"] == pytest.approx(1.0, abs=1e-9)
@@ -138,7 +142,7 @@ class TestSelfTest:
 
     def test_degenerate_reference_excluded(self):
         cfg = tiny_config(contexts=micro_suite()[:1] + [("Trivial", trivial_context())])
-        report = evaluate_reference_self_test(cfg)
+        report = evaluate_reference_self_test(cfg, make_reference_fronts(cfg))
         assert "Trivial" in report.excluded_contexts
         assert all(c["context"] != "Trivial" for c in report.cells)
 
@@ -151,21 +155,21 @@ class TestSelfTest:
         with pytest.raises(ValueError, match="Trivial"):
             evaluate_custom(cfg, refs, "generalist", no_cell)
         with pytest.raises(ValueError, match="Trivial"):
-            evaluate_reference_self_test(cfg)
+            evaluate_reference_self_test(cfg, refs)
 
 
 class TestRandomBaseline:
     def test_cells_complete_and_bounded(self):
         cfg = tiny_config(seeds=[0, 1])
-        report = evaluate_random_baseline(cfg)
+        report = random_report(cfg)
         assert len(report.cells) == 2 * len(cfg.contexts)
         for cell in report.cells:
             assert 0.0 <= cell["nhgr"] <= 1.0
 
     def test_deterministic_reports(self):
         cfg = tiny_config()
-        a = evaluate_random_baseline(cfg).to_json()
-        b = evaluate_random_baseline(cfg).to_json()
+        a = random_report(cfg).to_json()
+        b = random_report(cfg).to_json()
         assert a == b
 
 
@@ -201,7 +205,7 @@ class TestAggregates:
 
 class TestReport:
     def report(self):
-        return evaluate_random_baseline(tiny_config())
+        return random_report(tiny_config())
 
     def test_aggregate_consistency(self):
         report = self.report()
@@ -235,7 +239,7 @@ class TestReport:
         from morlgen.fronts import ParetoFront, nhgr
 
         cfg = tiny_config()
-        report = evaluate_random_baseline(cfg)
+        report = random_report(cfg)
         refs = {
             name: ParetoFront.from_json_obj(obj["front"])
             for name, obj in report.reference_fronts.items()
