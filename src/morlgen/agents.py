@@ -5,9 +5,11 @@ generalist (fresh context sampled per episode, i.e. domain randomization).
 Preferences are discretized on a simplex grid; each grid weight owns its
 own Q-table over the dynamic episode state (position, orientation,
 collected-goals mask), and rewards are scalarized with that weight during
-training. Greedy evaluation recovers the underlying vector returns, whose
-Pareto filter is the agent's front. A uniform-random-policy floor
-baseline rounds out the module. Training steps per-cell lists (those of
+training. The tables are one array over the states any weight visited,
+and snapshots store it compressed (`TabularQ`). Greedy evaluation
+recovers the underlying vector returns, whose Pareto filter is the
+agent's front. A uniform-random-policy floor baseline rounds out the
+module. Training steps per-cell lists (those of
 `lavagrid.compile_context`, or of a domain-randomized draw); greedy and
 random rollouts step the context's (state, action) tables
 (`lavagrid.state_tables`), which the oracle backs up too. None of them
@@ -17,20 +19,23 @@ generator's draws on its raw words (`stats.WordReplay`).
 
 from __future__ import annotations
 
+import base64
 import itertools
 import json
+import math
 import numbers
-import re
+import zlib
 from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 import numpy as np
 
 from .fronts import ParetoFront, pareto_filter
 from .lavagrid import (
     DEFAULT_MAX_STEPS,
+    GOAL_CODES,
     NUM_ACTIONS,
+    NUM_OBJECTIVES,
     LavaGridContext,
     StateTables,
     compile_context,
@@ -39,7 +44,7 @@ from .lavagrid import (
 )
 from .stats import GENERATOR_ID, WordReplay, _rng_of
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 def weight_grid(resolution: int, k: int) -> np.ndarray:
@@ -64,26 +69,31 @@ def weight_grid(resolution: int, k: int) -> np.ndarray:
 
 @dataclass
 class TabularQ:
-    """Per-weight Q-tables keyed by the dynamic episode state."""
+    """Per-weight Q-tables over one sorted array of visited states.
+
+    `keys` holds every (x, y, dir, mask) state that any grid weight
+    visited, one row each, sorted. `values[w]` is weight w's (rows,
+    action_count) Q-table over those rows; a row that weight never visited
+    is zero, and its greedy action is 0, as for a state nobody visited.
+    """
 
     weight_grid: np.ndarray
     alpha: float
+    keys: np.ndarray  # (rows, 4) integers
+    values: np.ndarray  # (weights, rows, action_count) float64
     action_count: int = NUM_ACTIONS
-    tables: dict[int, dict[tuple, np.ndarray]] = field(default_factory=dict)
     episodes_trained: int = 0
     metadata: dict = field(default_factory=dict)
 
-    def greedy_action(self, widx: int, digest: tuple) -> int:
-        table = self.tables.get(widx, {})
-        q = table.get(digest)
-        if q is None:
-            return 0  # unseen state: ties break to the lowest action index
-        return int(q.argmax())
+    @property
+    def tables(self) -> dict[int, np.ndarray]:
+        """Weight index -> that weight's (rows, action_count) Q-table, a view of `values`."""
+        return dict(enumerate(self.values))
 
     # -- snapshots --------------------------------------------------------
 
-    def _head(self) -> dict:
-        """The snapshot object without its tables."""
+    def to_json_obj(self) -> dict:
+        """The snapshot object: the readable fields, then `keys` and `tables` as `_pack` text."""
         return {
             "version": SNAPSHOT_VERSION,
             "alpha": self.alpha,
@@ -91,36 +101,16 @@ class TabularQ:
             "episodes_trained": self.episodes_trained,
             "weight_grid": [[float(x) for x in row] for row in self.weight_grid],
             "metadata": dict(sorted(self.metadata.items())),
-        }
-
-    def to_json_obj(self) -> dict:
-        return {
-            **self._head(),
-            "tables": {
-                str(widx): {
-                    ",".join(map(str, digest)): q.tolist()
-                    for digest, q in sorted(table.items())
-                }
-                for widx, table in sorted(self.tables.items())
-            },
+            "rows": len(self.keys),
+            "keys": _pack(self.keys, _KEY_DTYPE),
+            "tables": _pack(self.values, _Q_DTYPE),
         }
 
     def save(self, path) -> None:
-        """Write the text of `json.dump(self.to_json_obj(), fh, sort_keys=True, indent=1)`.
-
-        `json.dumps` renders the small fields around an empty `tables`; each
-        weight table is then formatted as one string and written in one
-        call, so the text of one table at a time is held.
-        """
-        text = json.dumps({**self._head(), "tables": {}}, sort_keys=True, indent=1)
-        head, tail = text.split('\n "tables": {}', 1)  # the one key at indent 1
+        """Write `json.dump(self.to_json_obj(), fh, sort_keys=True, indent=1)`'s text."""
+        text = json.dumps(self.to_json_obj(), sort_keys=True, indent=1)
         with open(path, "w") as fh:
-            fh.write(head + '\n "tables": {')
-            sep = "\n"
-            for widx, table in sorted(self.tables.items(), key=lambda item: str(item[0])):
-                fh.write(f'{sep}  "{widx}": {_table_text(table)}')
-                sep = ",\n"
-            fh.write(("\n }" if self.tables else "}") + tail)
+            fh.write(text)
 
     @classmethod
     def from_json_obj(cls, obj) -> "TabularQ":
@@ -129,24 +119,29 @@ class TabularQ:
             raise ValueError("a snapshot must be a JSON object")
         version = obj.get("version")
         if not (_is_int(version) and version == SNAPSHOT_VERSION):
-            raise ValueError(f"unsupported snapshot version {version!r}")
-        q = cls(
-            weight_grid=_field(obj, "weight_grid", _matrix, "a 2-D array of numbers"),
+            raise ValueError(
+                f"unsupported snapshot version {version!r}; "
+                f"this morlgen reads version {SNAPSHOT_VERSION}"
+            )
+        grid = _field(obj, "weight_grid", _matrix, "a 2-D array of numbers")
+        action_count = _field(obj, "action_count", _action_count, f"the integer {NUM_ACTIONS}")
+        rows = _field(obj, "rows", _count, "a non-negative integer")
+        keys = _unpack(obj, "keys", _KEY_DTYPE, (rows, 4), f"{rows} rows of 4 integers")
+        _check_keys(keys)
+        return cls(
+            weight_grid=grid,
             alpha=_field(obj, "alpha", _alpha, "a number in (0, 1]"),
-            action_count=_field(obj, "action_count", _action_count, f"the integer {NUM_ACTIONS}"),
+            action_count=action_count,
+            keys=keys,
+            values=_unpack(
+                obj, "tables", _Q_DTYPE, (len(grid), rows, action_count),
+                f"{len(grid)} weights x {rows} rows x {action_count} Q-values",
+            ),
             episodes_trained=_field(obj, "episodes_trained", _count, "a non-negative integer"),
             metadata=(
                 _field(obj, "metadata", _json_object, "an object") if "metadata" in obj else {}
             ),
         )
-        indices = {str(i): i for i in range(len(q.weight_grid))}
-        for widx, table in _field(obj, "tables", _json_object, "an object").items():
-            if widx not in indices:
-                raise ValueError(
-                    f"snapshot table key {widx!r} is not a weight index 0 to {len(indices) - 1}"
-                )
-            q.tables[indices[widx]] = _parse_table(widx, table, q.action_count)
-        return q
 
     @classmethod
     def load(cls, path) -> "TabularQ":
@@ -154,63 +149,69 @@ class TabularQ:
             return cls.from_json_obj(json.load(fh))
 
 
-def _table_text(table: dict[tuple, np.ndarray]) -> str:
-    """One weight table as `json.dump(..., sort_keys=True, indent=1)` writes it at depth 2.
+_KEY_DTYPE = np.dtype("<i4")
+_Q_DTYPE = np.dtype("<f8")
+_MASKS = 1 << len(GOAL_CODES)  # a collected mask has one bit per goal colour
 
-    States are ordered by their key strings, as json's `sort_keys` orders
-    them. Q-values are written by `repr`, as json writes floats; a finite
-    float's repr has no letter n, so only a table holding NaN or an
-    infinity needs json's names for them.
+
+def _pack(array: np.ndarray, dtype: np.dtype) -> str:
+    """Base64 text of the zlib-compressed bytes of `array` in `dtype`, in C order."""
+    data = np.ascontiguousarray(array, dtype=dtype).tobytes()
+    return base64.b64encode(zlib.compress(data)).decode("ascii")
+
+
+def _unpack(obj: dict, name: str, dtype: np.dtype, shape: tuple, what: str) -> np.ndarray:
+    """The read-only array that `_pack` wrote as field `name`, of `shape` in `dtype`.
+
+    The text must be canonical base64 (what `_pack` writes) of one whole
+    zlib stream of exactly the bytes of `shape`; it is inflated to at most
+    that many bytes, so a stream that runs on is cut off and rejected, not
+    held.
     """
-    if not table:
-        return "{}"
-    rows = sorted(
-        ((",".join(map(str, digest)), q) for digest, q in table.items()), key=itemgetter(0)
-    )
-    text = ",\n".join(
-        f'   "{key}": [\n    ' + ",\n    ".join(map(repr, q.tolist())) + "\n   ]"
-        for key, q in rows
-    )
-    if "n" in text:
-        text = text.replace("nan", "NaN").replace("inf", "Infinity")
-    return "{\n" + text + "\n  }"
-
-
-_COORD = "(?:0|[1-9][0-9]*)"  # a canonical decimal integer, as `str` writes one
-_STATE_KEY = re.compile(f"{_COORD},{_COORD},{_COORD},{_COORD}")
-_STATE_KEYS = re.compile(f"{_STATE_KEY.pattern}(?:;{_STATE_KEY.pattern})*")
-
-
-def _parse_table(widx: str, table: dict, action_count: int) -> dict[tuple, np.ndarray]:
-    """One weight's snapshot table as {(x, y, dir, mask): Q-values}.
-
-    Every state key must be "x,y,dir,mask" as `to_json_obj` writes it, so
-    no two keys name one state. The keys, joined by ";", are checked in one
-    regular-expression match; they and the Q-values are then each parsed
-    in one numpy call, and every value is a row of one (states,
-    action_count) array.
-    """
-    if not isinstance(table, dict):
-        raise ValueError(f"snapshot table {widx} must be an object of states")
-    if not table:
-        return {}
-    text = ";".join(table)
-    if not (_STATE_KEYS.fullmatch(text) and text.count(";") == len(table) - 1):
-        key = next(key for key in table if not _STATE_KEY.fullmatch(key))
-        raise ValueError(
-            f"snapshot table {widx}: state key {key!r} is not x,y,dir,mask in canonical decimal"
-        )
+    if name not in obj:
+        raise ValueError(f"snapshot has no {name!r} field")
+    size = math.prod(shape) * dtype.itemsize
+    problem = f"snapshot field {name!r} must be base64 of zlib-compressed {what}"
     try:
-        keys = np.array(text.replace(";", ",").split(","), dtype=np.int64).reshape(-1, 4)
-        values = np.array(list(table.values()), dtype=float)
-        if values.shape[1:] != (action_count,):
-            raise ValueError
-    except (TypeError, ValueError, OverflowError):
+        stream = base64.b64decode(obj[name], validate=True)
+        if base64.b64encode(stream).decode("ascii") != obj[name]:
+            raise ValueError  # padding or spare bits that another decoder may read otherwise
+        inflate = zlib.decompressobj()
+        # max_length 0 would mean no bound: an empty array reads at most one byte
+        data = inflate.decompress(stream, size or 1)
+    except (TypeError, ValueError, OverflowError, zlib.error):  # binascii.Error is a ValueError
+        raise ValueError(f"{problem}, got {obj[name]!r:.40}") from None
+    if len(data) < size:
+        fault = f"the stream holds {len(data):,}" if inflate.eof else "the stream ends early"
+    elif not inflate.eof:
+        fault = "the stream runs on"
+    elif inflate.unused_data:
+        fault = f"the stream is followed by {len(inflate.unused_data):,} more bytes"
+    else:
+        return np.frombuffer(data, dtype).reshape(shape)
+    raise ValueError(f"{problem} ({size:,} bytes); {fault}")
+
+
+def _check_keys(keys: np.ndarray) -> None:
+    """ValueError unless every key is a state (x, y >= 0, a direction, a mask), once, in order."""
+    x, y, direction, mask = keys.T
+    bad = (x < 0) | (y < 0) | (direction < 0) | (direction > 3) | (mask < 0) | (mask >= _MASKS)
+    if bad.any():
+        row = int(bad.argmax())
         raise ValueError(
-            f"snapshot table {widx}: every state needs a key of 4 integers "
-            f"and {action_count} Q-values"
-        ) from None
-    return dict(zip(map(tuple, keys.tolist()), values))
+            f"snapshot field 'keys': row {row} {tuple(keys[row].tolist())} is not a state "
+            f"(x, y >= 0, dir 0 to 3, mask 0 to {_MASKS - 1})"
+        )
+    step = np.diff(keys.astype(np.int64), axis=0)
+    moved = step != 0
+    first = moved.argmax(axis=1)
+    after = moved.any(axis=1) & (step[np.arange(len(step)), first] > 0)
+    if not after.all():
+        row = int(after.argmin()) + 1
+        raise ValueError(
+            f"snapshot field 'keys': row {row} {tuple(keys[row].tolist())} does not follow "
+            f"row {row - 1} {tuple(keys[row - 1].tolist())}; keys must be unique and sorted"
+        )
 
 
 def _field(obj: dict, name: str, convert, expected: str):
@@ -299,8 +300,9 @@ def train_scalarized_q(
     each drawn one, which needs no context object. Each weight's Q-values
     live in a dict keyed by state id pose << 3 | mask (a mask has one bit
     per goal colour), with a zero row made on a state's first visit, until
-    training ends; then the visited states move into `TabularQ.tables`
-    under their (x, y, dir, mask) keys. State ids depend on the grid width,
+    training ends; then every visited state becomes one row of
+    `TabularQ.keys`, as (x, y, dir, mask), and the Q-values fill
+    `TabularQ.values` (`_arrays`). State ids depend on the grid width,
     so every drawn context must share one grid size. Every w.r is the float
     of a numpy dot product, as for the environment's reward vector, cached
     per weight and reward.
@@ -320,19 +322,6 @@ def train_scalarized_q(
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
     fixed = isinstance(context_source, LavaGridContext)
-    q = TabularQ(
-        weight_grid=grid,
-        alpha=alpha,
-        metadata={
-            "mode": "specialist" if fixed else "generalist",
-            "gamma": gamma,
-            "eps_start": eps_start,
-            "eps_end": eps_end,
-            "eps_anneal_frac": eps_anneal_frac,
-            "max_steps": max_steps,
-            "rng": GENERATOR_ID,
-        },
-    )
     size = None
     if fixed:  # validated and compiled once
         model = compile_context(context_source)
@@ -392,13 +381,23 @@ def train_scalarized_q(
             qv[a] += alpha * (r + gamma * max(nq) - qv[a])
             qv = nq
     draws.sync()
-    width = size[0]
-    for widx, table in sorted(store.items()):
-        q.tables[widx] = {
-            _state_key(s >> 3, s & 7, width): np.array(row) for s, row in table.items()
-        }
-    q.episodes_trained = int(episodes)
-    return q
+    keys, values = _arrays(store, len(grid), size[0])
+    return TabularQ(
+        weight_grid=grid,
+        alpha=alpha,
+        keys=keys,
+        values=values,
+        episodes_trained=int(episodes),
+        metadata={
+            "mode": "specialist" if fixed else "generalist",
+            "gamma": gamma,
+            "eps_start": eps_start,
+            "eps_end": eps_end,
+            "eps_anneal_frac": eps_anneal_frac,
+            "max_steps": max_steps,
+            "rng": GENERATOR_ID,
+        },
+    )
 
 
 def _scalarized(w: np.ndarray, goal: float, lava: float) -> float:
@@ -406,10 +405,22 @@ def _scalarized(w: np.ndarray, goal: float, lava: float) -> float:
     return float(w @ np.array([goal, lava, -1.0]))
 
 
-def _state_key(pose: int, mask: int, width: int) -> tuple[int, int, int, int]:
-    """The (x, y, dir, mask) Q-table key of a pose id and collected mask."""
-    y, x = divmod(pose >> 2, width)
-    return (x, y, pose & 3, mask)
+def _arrays(store: dict, weights: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted (x, y, dir, mask) keys of every state id in `store`, and the Q array.
+
+    `store` maps a weight index to that weight's {state id: Q-values}; a
+    state id is pose << 3 | mask on a grid `width` cells wide.
+    """
+    ids = np.array(sorted(set().union(*store.values())), dtype=np.int64)
+    pose, mask = ids >> 3, ids & 7
+    y, x = np.divmod(pose >> 2, width)
+    order = np.lexsort((mask, pose & 3, y, x))
+    keys = np.stack([x, y, pose & 3, mask], axis=1)[order]
+    row = dict(zip(ids[order].tolist(), range(len(ids))))
+    values = np.zeros((weights, len(ids), NUM_ACTIONS))
+    for widx, table in store.items():
+        values[widx, [row[s] for s in table]] = list(table.values())
+    return keys, values
 
 
 def _play(tables: StateTables, choose, gamma: float, max_steps: int) -> np.ndarray:
@@ -445,19 +456,46 @@ def _check_rollout(gamma: float, max_steps: int) -> None:
 
 def greedy_value_vector(
     q: TabularQ,
-    widx: int,
+    widx,
     tables: StateTables,
     gamma: float,
     max_steps: int | None = None,
 ) -> np.ndarray:
-    """Discounted vector return of the greedy policy for one grid weight."""
+    """Discounted vector returns of the greedy policies of grid weights `widx`.
+
+    `widx` is one weight index, giving one vector, or an array of them,
+    giving one row per index. The weights' episodes run in lockstep: each
+    step maps every state to its row of `q.keys` through one state-id
+    array (a state no weight visited maps to action 0), takes one argmax
+    per weight, and adds disc * r to each weight's return while its
+    episode runs. Those are the float operations of `_play`, per weight,
+    so every vector is the one a rollout of that weight alone gives.
+    """
     max_steps = DEFAULT_MAX_STEPS if max_steps is None else max_steps
     _check_rollout(gamma, max_steps)
-
-    def choose(s: int) -> int:
-        return q.greedy_action(widx, _state_key(s >> 3, s & 7, tables.width))
-
-    return _play(tables, choose, gamma, max_steps)
+    lanes = np.asarray(widx, dtype=np.intp).reshape(-1)
+    next_state, rewards, terminal = tables.next_state, tables.rewards, tables.terminal
+    width, rows = tables.width, len(q.keys)
+    x, y, direction, mask = q.keys.astype(np.int64).T
+    here = np.flatnonzero((x < width) & (y < len(terminal) // (width * 4 * _MASKS)))
+    row_of = np.full(len(terminal), rows)  # the row past the last: action 0
+    row_of[((y[here] * width + x[here]) << 2 | direction[here]) << 3 | mask[here]] = here
+    greedy = np.zeros((len(lanes), rows + 1), dtype=np.intp)
+    greedy[:, :rows] = q.values[lanes].argmax(axis=2)
+    lane = np.arange(len(lanes))
+    s = np.full(len(lanes), tables.start)
+    running = np.ones(len(lanes), dtype=bool)
+    ret = np.zeros((len(lanes), NUM_OBJECTIVES))
+    disc = 1.0
+    for _ in range(max_steps):
+        a = greedy[lane, row_of[s]]
+        np.add(ret, disc * rewards[s, a], out=ret, where=running[:, None])
+        disc *= gamma
+        s = next_state[s, a]
+        running &= ~terminal[s]
+        if not running.any():
+            break
+    return ret.reshape(np.shape(widx) + (NUM_OBJECTIVES,))
 
 
 def build_front(
@@ -472,10 +510,8 @@ def build_front(
     """
     tables = state_tables(context)
     n = len(q.weight_grid)
-    vectors = [
-        greedy_value_vector(q, widx, tables, gamma, max_steps) for widx in range(n)
-    ]
-    return pareto_filter(np.array(vectors), tags=list(range(n)))
+    vectors = greedy_value_vector(q, np.arange(n), tables, gamma, max_steps)
+    return pareto_filter(vectors, tags=list(range(n)))
 
 
 def random_policy_front(

@@ -155,7 +155,11 @@ class EvalConfig:
                     )
                 if "builtin" in item:
                     name = item["builtin"]
-                    contexts.append((item.get("name", name), builtin_context(name)))
+                    try:
+                        ctx = builtin_context(name)
+                    except KeyError as exc:
+                        raise ValueError(f"invalid config: contexts[{i}]: {exc.args[0]}") from None
+                    contexts.append((item.get("name", name), ctx))
                 else:
                     ctx = LavaGridContext.from_json_obj(item["context"])
                     contexts.append((item.get("name", ctx.name or "context"), ctx))

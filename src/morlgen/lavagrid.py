@@ -449,7 +449,8 @@ def _draw_cells(rng, lava_count_range, width: int, height: int) -> tuple[list[in
     """A layout's draws: its lava count, its cells, then the agent's direction.
 
     The cells are distinct flat ids y * width + x: the agent's, the green,
-    yellow and blue goals', then the lava cells.
+    yellow and blue goals', then the lava cells. Lava is passable and the
+    grid has no walls, so every goal is reachable from the start.
     """
     lo, hi = _lava_count_bounds(lava_count_range, width, height)
     lava_count = int(rng.integers(lo, hi + 1))
@@ -463,21 +464,6 @@ def _layout(cells: list[int], agent_dir: int, width: int, height: int) -> LavaGr
     tiles[cells[4:]] = LAVA
     y, x = divmod(cells[0], width)
     return LavaGridLayout(tiles.reshape(height, width), (x, y), agent_dir)
-
-
-def random_layout(
-    stream,
-    lava_count_range: tuple[int, int] = (0, 30),
-    width: int = DEFAULT_SIZE,
-    height: int = DEFAULT_SIZE,
-) -> LavaGridLayout:
-    """Uniformly place lava, the three goals, and the agent on distinct cells.
-
-    Lava is passable and the grid has no walls, so every goal is reachable
-    from the start.
-    """
-    cells, agent_dir = _draw_cells(_rng_of(stream), lava_count_range, width, height)
-    return _layout(cells, agent_dir, width, height)
 
 
 class ContextDraw(NamedTuple):

@@ -2,10 +2,14 @@
 
 This is the trainer, greedy rollout and random floor as they were before
 they moved onto the compiled context model, unchanged but for their
-names (`reference_*`) and for `_values`, the former `TabularQ.values`
-method. They step the readable `LavaGridEnv` one observation at a time.
-The compiled versions must reproduce their snapshots (`to_json_obj()`)
-and fronts byte for byte (see test_agents_reference.py).
+names (`reference_*`) and for the Q-tables: the trainer keeps its own
+per-weight {(x, y, dir, mask): Q-values} dicts (`_values` is the former
+`TabularQ.values` method) and fills them out to `TabularQ`'s arrays at
+the end (`array_form`), and the greedy rollout looks a state up by its
+key (`greedy_action`, the former `TabularQ.greedy_action`). They step the
+readable `LavaGridEnv` one observation at a time. The compiled versions
+must reproduce their snapshots (`to_json_obj()`) and fronts byte for byte
+(see test_agents_reference.py).
 """
 
 from __future__ import annotations
@@ -19,12 +23,38 @@ from morlgen.momdp import rollout
 from morlgen.stats import GENERATOR_ID, _rng_of
 
 
-def _values(q: TabularQ, widx: int, digest: tuple) -> np.ndarray:
-    table = q.tables.setdefault(widx, {})
+def _values(tables: dict, widx: int, digest: tuple) -> np.ndarray:
+    table = tables.setdefault(widx, {})
     vals = table.get(digest)
     if vals is None:
-        vals = table[digest] = np.zeros(q.action_count)
+        vals = table[digest] = np.zeros(NUM_ACTIONS)
     return vals
+
+
+def array_form(grid: np.ndarray, tables: dict) -> tuple[np.ndarray, np.ndarray]:
+    """`TabularQ`'s keys and values of per-weight {(x, y, dir, mask): Q-values} `tables`.
+
+    One row per state that any weight visited, in sorted key order; a
+    weight's row of a state it never visited is zero.
+    """
+    keys = sorted(set().union(*tables.values()))
+    row = {key: i for i, key in enumerate(keys)}
+    values = np.zeros((len(grid), len(keys), NUM_ACTIONS))
+    for widx, table in tables.items():
+        for key, vals in table.items():
+            values[widx, row[key]] = vals
+    return np.array(keys, dtype=np.int64).reshape(-1, 4), values
+
+
+def greedy_action(q: TabularQ, rows: dict, widx: int, digest: tuple) -> int:
+    """The argmax of weight widx's Q-values at state `digest`; 0 for an unseen state.
+
+    `rows` maps each key of `q.keys`, as a tuple, to its row.
+    """
+    row = rows.get(digest)
+    if row is None:
+        return 0  # unseen state: ties break to the lowest action index
+    return int(q.values[widx, row].argmax())
 
 
 def reference_train_scalarized_q(
@@ -48,19 +78,16 @@ def reference_train_scalarized_q(
     max_steps = DEFAULT_MAX_STEPS if max_steps is None else max_steps
     env = LavaGridEnv(max_steps=max_steps)
     fixed = isinstance(context_source, LavaGridContext)
-    q = TabularQ(
-        weight_grid=grid,
-        alpha=alpha,
-        metadata={
-            "mode": "specialist" if fixed else "generalist",
-            "gamma": gamma,
-            "eps_start": eps_start,
-            "eps_end": eps_end,
-            "eps_anneal_frac": eps_anneal_frac,
-            "max_steps": max_steps,
-            "rng": GENERATOR_ID,
-        },
-    )
+    metadata = {
+        "mode": "specialist" if fixed else "generalist",
+        "gamma": gamma,
+        "eps_start": eps_start,
+        "eps_end": eps_end,
+        "eps_anneal_frac": eps_anneal_frac,
+        "max_steps": max_steps,
+        "rng": GENERATOR_ID,
+    }
+    tables: dict[int, dict[tuple, np.ndarray]] = {}
     for ep in range(episodes):
         ctx = context_source if fixed else context_source.sample(rng)
         widx = int(rng.integers(len(grid)))
@@ -69,9 +96,9 @@ def reference_train_scalarized_q(
         obs = env.reset(ctx)
         digest = obs.signature()
         for _ in range(max_steps):
-            qvals = _values(q, widx, digest)
+            qvals = _values(tables, widx, digest)
             if rng.random() < epsilon:
-                action = int(rng.integers(q.action_count))
+                action = int(rng.integers(NUM_ACTIONS))
             else:
                 action = int(np.argmax(qvals))
             tr = env.step(action)
@@ -80,13 +107,14 @@ def reference_train_scalarized_q(
             if tr.terminal:
                 target = scalar
             else:
-                target = scalar + gamma * float(_values(q, widx, next_digest).max())
+                target = scalar + gamma * float(_values(tables, widx, next_digest).max())
             qvals[action] += alpha * (target - qvals[action])
             digest = next_digest
             if tr.done:
                 break
-        q.episodes_trained += 1
-    return q
+    keys, values = array_form(grid, tables)
+    return TabularQ(weight_grid=grid, alpha=alpha, keys=keys, values=values,
+                    episodes_trained=episodes, metadata=metadata)
 
 
 def reference_greedy_value_vector(
@@ -98,9 +126,10 @@ def reference_greedy_value_vector(
 ) -> np.ndarray:
     max_steps = DEFAULT_MAX_STEPS if max_steps is None else max_steps
     env = LavaGridEnv(max_steps=max_steps)
+    rows = {tuple(key): i for i, key in enumerate(q.keys.tolist())}
 
     def policy(obs) -> int:
-        return q.greedy_action(widx, obs.signature())
+        return greedy_action(q, rows, widx, obs.signature())
 
     return rollout(env, policy, context, gamma, max_steps=max_steps)
 

@@ -8,6 +8,9 @@ routing trade-offs, not layout quirks, drive the fronts; the fifth is
 the vertical mirror of that topology with the goals pulled inward.
 """
 
+import base64
+import zlib
+
 import numpy as np
 import pytest
 
@@ -55,6 +58,43 @@ def micro_config(seeds=(0, 1, 2, 3, 4), train_episodes=20000):
         dr_height=3,
         dr_lava_range=(1, 3),
     )
+
+
+def packed(array, dtype):
+    """Base64 text of the zlib-compressed bytes of `array` in `dtype`: a v2 snapshot member."""
+    return base64.b64encode(zlib.compress(np.asarray(array, dtype=dtype).tobytes())).decode()
+
+
+def unpacked(text, dtype, shape):
+    """The writable array of a v2 snapshot member's text, in `shape`."""
+    return np.frombuffer(zlib.decompress(base64.b64decode(text)), dtype).reshape(shape).copy()
+
+
+def q_values(obj):
+    """A snapshot object's Q array, (weights, rows, action_count)."""
+    shape = (len(obj["weight_grid"]), obj["rows"], obj["action_count"])
+    return unpacked(obj["tables"], "<f8", shape)
+
+
+def with_keys(change):
+    """A snapshot edit: `keys` re-packed after `change` edits the (rows, 4) array in place."""
+    def edit(obj):
+        keys = unpacked(obj["keys"], "<i4", (-1, 4))
+        change(keys)
+        return {**obj, "keys": packed(keys, "<i4")}
+    return edit
+
+
+def with_stream(name, change):
+    """A snapshot edit: member `name` re-encoded after `change(stream)` edits its zlib bytes."""
+    def edit(obj):
+        return {**obj, name: base64.b64encode(change(base64.b64decode(obj[name]))).decode()}
+    return edit
+
+
+def with_text(name, change):
+    """A snapshot edit: member `name`'s base64 text edited by `change(text)`."""
+    return lambda obj: {**obj, name: change(obj[name])}
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,9 @@
 """Frozen reference for the domain-randomization draws of `LavaGridSpace.sample`.
 
 This is the context sampler as it was before its layout and weight draws
-were vectorized: `random_layout` placed each tile in a per-cell loop, and
-the goal weights came from a one-point simplex sampler. They are
+were vectorized: the layout sampler (`random_layout`, since removed)
+placed each tile in a per-cell loop, and the goal weights came from a
+one-point simplex sampler. They are
 unchanged but for their names (`reference_*`). `LavaGridSpace.sample`
 must reproduce their tiles, start pose, weight bytes and generator state
 exactly (see test_agents_reference.py).

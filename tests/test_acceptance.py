@@ -24,11 +24,7 @@ from morlgen.fronts import (
     nhgr,
     pareto_filter,
 )
-from morlgen.lavagrid import (
-    LavaGridContext,
-    builtin_eval_contexts,
-    random_layout,
-)
+from morlgen.lavagrid import LavaGridSpace, builtin_eval_contexts
 from morlgen.oracle import (
     enumerate_returns,
     pareto_backward_induction,
@@ -150,8 +146,7 @@ def test_oracle_equivalence():
         rng = RandomStream(seed, (500,)).rng()
         size = int(rng.integers(3, 6))
         horizon = int(rng.integers(6, 9 if size == 5 else 10))
-        layout = random_layout(rng, (0, size), width=size, height=size)
-        ctx = LavaGridContext(layout, sample_simplex_batch(rng, 3, 1)[0])
+        ctx = LavaGridSpace(size, size, (0, size)).sample(rng)
         gamma = float(rng.uniform(0.8, 0.99))
         dp = pareto_backward_induction(ctx, gamma, horizon)
         assert dp.exact

@@ -1,9 +1,13 @@
 """The compiled-model agents against their frozen environment-driven reference.
 
 `agents_reference.py` holds the trainer, greedy rollout and random floor
-that stepped `LavaGridEnv`. The tests here require byte-identical
-snapshots (`to_json_obj()` as JSON text, so every float and every visited
-state key counts) and byte-identical greedy and random fronts. The
+that stepped `LavaGridEnv`. The tests here require byte-identical Q
+arrays (the reference's tables filled out to the array form, so every
+float and every visited state key counts), byte-identical snapshots
+(`to_json_obj()` as JSON text) and byte-identical greedy and random
+fronts. The lockstep greedy rollout of all weights
+(`greedy_value_vector` with every weight index) must give, bit for bit,
+each weight's own episode on `LavaGridEnv`. The
 domain-randomized contexts are pinned on their own: `LavaGridSpace.sample`
 to the frozen per-cell sampler in `draws_reference.py`, and the per-cell
 lists that the trainer builds from `LavaGridSpace.draw` to
@@ -19,11 +23,14 @@ import agents_reference as ref
 import draws_reference
 from conftest import MICRO_GAMMA, MICRO_HORIZON, micro_suite
 from morlgen.agents import (
+    TabularQ,
     build_front,
+    greedy_value_vector,
     random_policy_front,
     train_scalarized_q,
     weight_grid,
 )
+from morlgen.fronts import pareto_filter
 from morlgen.lavagrid import (
     LAVA,
     NORTH,
@@ -33,7 +40,9 @@ from morlgen.lavagrid import (
     LavaGridSpace,
     builtin_eval_contexts,
     compile_context,
+    state_tables,
 )
+from morlgen.momdp import rollout
 from morlgen.stats import RandomStream
 
 GRID = weight_grid(4, 3)
@@ -58,6 +67,9 @@ def assert_same_training(source, episodes, seed, gamma=MICRO_GAMMA, **kwargs):
     args = (source, GRID, episodes, gamma, RandomStream(seed, (1,)))
     new = train_scalarized_q(*args, alpha=0.2, **kwargs)
     old = ref.reference_train_scalarized_q(*args, alpha=0.2, **kwargs)
+    assert new.keys.shape == old.keys.shape and new.keys.tobytes() == old.keys.tobytes()
+    assert new.values.shape == old.values.shape
+    assert new.values.tobytes() == old.values.tobytes()
     assert snapshot_text(new) == snapshot_text(old)
     return new
 
@@ -139,6 +151,76 @@ def test_builtin_fronts_match_reference():
                 random_policy_front(ctx, 20, gamma, stream, max_steps=max_steps),
                 ref.reference_random_policy_front(ctx, 20, gamma, stream, max_steps=max_steps),
             )
+
+
+def per_weight_rollout(q, widx, context, gamma, max_steps):
+    """Weight widx's own greedy episode on `LavaGridEnv`.
+
+    Returns its vector return, its step count and how many of its states
+    are not keys of `q` (those take action 0).
+    """
+    env = LavaGridEnv(max_steps=max_steps)
+    rows = {tuple(key): i for i, key in enumerate(q.keys.tolist())}
+    seen = {"steps": 0, "unseen": 0}
+
+    def policy(obs):
+        seen["steps"] += 1
+        seen["unseen"] += obs.signature() not in rows
+        return ref.greedy_action(q, rows, widx, obs.signature())
+
+    vector = rollout(env, policy, context, gamma, max_steps=max_steps)
+    return vector, seen["steps"], seen["unseen"]
+
+
+def lockstep_cases():
+    """(agent, contexts, gamma, max_steps) for the lockstep rollout test.
+
+    Micro specialists on their own context; an 11x11 generalist (and a
+    barely trained one, which leaves most states unvisited) on 4
+    builtins and on the 5x3 micro contexts, where its keys outside the
+    grid must be ignored. In one more agent every stored row prefers
+    action 2, so a state no weight visited (action 0) cannot pass for a
+    stored one.
+    """
+    cases = []
+    for seed, (name, ctx) in enumerate(MICRO):
+        q = train_scalarized_q(ctx, GRID, 4000, MICRO_GAMMA, RandomStream(seed, (2,)),
+                               alpha=0.2, max_steps=MICRO_HORIZON)
+        cases.append((q, [ctx], MICRO_GAMMA, MICRO_HORIZON))
+    builtins = [ctx for _, ctx in builtin_eval_contexts()][::2]
+    micro = [ctx for _, ctx in MICRO]
+    for episodes in (10, 300):
+        q = train_scalarized_q(LavaGridSpace(), GRID, episodes, 0.995, RandomStream(3, (2,)),
+                               max_steps=28)
+        cases.append((q, builtins, 0.995, 28))
+        cases.append((q, micro, MICRO_GAMMA, MICRO_HORIZON))
+    right = TabularQ(weight_grid=GRID, alpha=q.alpha, keys=q.keys, values=q.values + [0, 0, 1])
+    cases.append((right, builtins, 0.995, 28))
+    return cases
+
+
+def test_lockstep_rollouts_match_per_weight_rollouts(tmp_path):
+    ragged, unseen = 0, 0
+    for i, (q, contexts, gamma, max_steps) in enumerate(lockstep_cases()):
+        path = tmp_path / f"agent{i}.json"
+        q.save(path)
+        q = TabularQ.load(path)
+        n = len(q.weight_grid)
+        for ctx in contexts:
+            episodes = [per_weight_rollout(q, w, ctx, gamma, max_steps) for w in range(n)]
+            expected = np.array([vector for vector, _, _ in episodes])
+            vectors = greedy_value_vector(q, np.arange(n), state_tables(ctx), gamma, max_steps)
+            assert vectors.shape == expected.shape
+            assert vectors.tobytes() == expected.tobytes()
+            for w in (0, n - 1):
+                one = greedy_value_vector(q, w, state_tables(ctx), gamma, max_steps)
+                assert one.tobytes() == expected[w].tobytes()
+            assert_same_front(build_front(q, ctx, gamma, max_steps=max_steps),
+                              pareto_filter(expected, tags=list(range(n))))
+            ragged += len({steps for _, steps, _ in episodes}) > 1
+            unseen += sum(count for _, _, count in episodes)
+    assert ragged > 0  # cells whose weights' episodes end at different steps
+    assert unseen > 0  # states that no weight visited
 
 
 @pytest.mark.parametrize("max_steps", [1, 2, MICRO_HORIZON, 64])

@@ -9,7 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import micro_config, micro_context, micro_suite
+from conftest import (
+    micro_config,
+    micro_context,
+    micro_suite,
+    packed,
+    q_values,
+    unpacked,
+    with_keys,
+    with_stream,
+    with_text,
+)
 from morlgen import agents, cli, harness, oracle
 from morlgen.cli import EXIT_APPROXIMATE, EXIT_INPUT_ERROR, EXIT_OK, main
 from morlgen.oracle import enumerate_returns
@@ -35,6 +45,23 @@ def micro_context_file(tmp_path):
     path = tmp_path / "context.json"
     path.write_text(json.dumps(ctx.to_json_obj()))
     return path, ctx
+
+
+def with_weights(obj, more):
+    """`obj` whose tables member holds `more` tables beyond (or, if negative, short of) the grid's."""
+    tables = q_values(obj)
+    if more < 0:
+        tables = tables[:more]
+    else:
+        tables = np.concatenate([tables, np.zeros((more,) + tables.shape[1:])])
+    return {**obj, "tables": packed(tables, "<f8")}
+
+
+def with_key_fields(obj, fields):
+    """`obj` whose keys member holds rows of `fields` integers instead of 4."""
+    keys = unpacked(obj["keys"], "<i4", (-1, 4))
+    keys = keys[:, :fields] if fields < 4 else np.pad(keys, ((0, 0), (0, fields - 4)))
+    return {**obj, "keys": packed(keys, "<i4")}
 
 
 NAN_WEIGHTS = pytest.mark.parametrize(
@@ -197,8 +224,13 @@ class TestConfigErrors:
         (lambda obj: {**obj, "contexts": [{}]},
          "invalid config: contexts[0] must be an object with a 'builtin' or a 'context' key, "
          "got {}"),
+        (lambda obj: {"contexts": [{"builtin": "Nope"}], "seeds": [0]},
+         "invalid config: contexts[0]: unknown builtin context 'Nope'"),
+        (lambda obj: {**obj, "contexts": [obj["contexts"][0], {"builtin": "maze"}]},
+         "invalid config: contexts[1]: unknown builtin context 'maze'"),
     ], ids=["a list", "a string", "a number", "null", "contexts a string", "seeds a number",
-            "no seeds", "a context a string", "an empty context"])
+            "no seeds", "a context a string", "an empty context", "an unknown builtin",
+            "a builtin misspelled"])
     def test_malformed_shape_exit_2_before_any_output(self, tmp_path, capsys, edit, message):
         cfg = tmp_path / "shape.json"
         cfg.write_text(json.dumps(edit(json.loads(write_config(tmp_path).read_text()))))
@@ -680,8 +712,8 @@ class TestEvalCommand:
         main(["train", "--config", str(cfg), "--mode", "generalist", "--out", str(snaps)])
         path = snaps / "generalist_seed0.json"
         obj = json.loads(path.read_text())
-        table = next(iter(obj["tables"].values()))
-        table[next(iter(table))] = row  # one row of the wrong length
+        # every row of the wrong length
+        obj["tables"] = packed(np.tile(row, (len(obj["weight_grid"]), obj["rows"], 1)), "<f8")
         path.write_text(json.dumps(obj))
         assert main(["eval", "--config", str(cfg), "--agents", str(snaps),
                      "--out", str(tmp_path / "o")]) == EXIT_INPUT_ERROR
@@ -691,15 +723,15 @@ class TestEvalCommand:
     @pytest.mark.parametrize("field, edit", [
         ("'tables'", lambda obj: {k: v for k, v in obj.items() if k != "tables"}),
         ("'tables'", lambda obj: {**obj, "tables": []}),
-        ("table 0", lambda obj: {**obj, "tables": {**obj["tables"], "0": [[0.0, 0.0, 0.0]]}}),
+        ("'keys'", lambda obj: {**obj, "keys": [[0, 0, 0, 0]]}),
         ("'weight_grid'", lambda obj: {k: v for k, v in obj.items() if k != "weight_grid"}),
         ("'weight_grid'", lambda obj: {**obj, "weight_grid": [1.0, 0.0]}),
         ("'alpha'", lambda obj: {**obj, "alpha": None}),
         ("'metadata'", lambda obj: {**obj, "metadata": []}),
         ("JSON object", lambda obj: [obj]),
-        pytest.param("'action_count'", lambda obj: {**obj, "action_count": 4, "tables": {
-            w: {key: row + [0.0] for key, row in table.items()}
-            for w, table in obj["tables"].items()}}, id="action_count 4, rows of 4"),
+        pytest.param("'action_count'", lambda obj: {**obj, "action_count": 4, "tables": packed(
+            np.concatenate([q_values(obj), np.zeros((len(obj["weight_grid"]), obj["rows"], 1))],
+                           axis=2), "<f8")}, id="action_count 4, rows of 4"),
         pytest.param("'action_count'", lambda obj: {**obj, "action_count": 3.7},
                      id="action_count 3.7"),
         pytest.param("'action_count'", lambda obj: {**obj, "action_count": "3"},
@@ -718,6 +750,10 @@ class TestEvalCommand:
         pytest.param("'weight_grid'", lambda obj: {**obj, "weight_grid": [
             [True, False, False], *obj["weight_grid"][1:]]}, id="weight_grid bool"),
         pytest.param("version", lambda obj: {**obj, "version": True}, id="version bool"),
+        pytest.param("'rows'", lambda obj: {k: v for k, v in obj.items() if k != "rows"},
+                     id="no rows"),
+        pytest.param("'rows'", lambda obj: {**obj, "rows": 2.5}, id="rows 2.5"),
+        pytest.param("'keys'", lambda obj: {**obj, "rows": obj["rows"] + 1}, id="rows one more"),
     ])
     def test_malformed_snapshot_field_exit_2(self, tmp_path, capsys, field, edit):
         cfg = write_config(tmp_path)
@@ -732,62 +768,90 @@ class TestEvalCommand:
         assert str(path) in err and field in err and "Traceback" not in err
         assert not (out / "report.json").exists()
 
-    @pytest.mark.parametrize("old, new", [
-        pytest.param("10", "1_0", id="table 1_0"),
-        pytest.param("10", "010", id="table 010"),
-        pytest.param("10", " 10", id="table space 10"),
-        pytest.param("10", "+10", id="table +10"),
-        pytest.param(None, "15", id="table 15 of 15 weights"),
-        pytest.param(None, "99", id="table 99"),
-        pytest.param(None, "-1", id="table -1"),
+    @pytest.mark.parametrize("edit", [
+        pytest.param(with_text("tables", lambda text: text[:8] + "_" + text[8:]),
+                     id="table 1_0"),
+        pytest.param(with_text("tables", lambda text: "0" + text), id="table 010"),
+        pytest.param(with_text("tables", lambda text: " " + text), id="table space 10"),
+        pytest.param(with_text("tables", lambda text: "+" + text), id="table +10"),
+        pytest.param(lambda obj: with_weights(obj, 1), id="table 15 of 15 weights"),
+        pytest.param(lambda obj: with_weights(obj, 100 - len(obj["weight_grid"])),
+                     id="table 99"),
+        pytest.param(lambda obj: with_weights(obj, -1), id="table -1"),
     ])
-    def test_bad_table_key_exit_2(self, tmp_path, capsys, old, new):
-        def edit(tables):
-            assert old is None or old in tables
-            if old is None:
-                return {**tables, new: {}}
-            return {(new if w == old else w): table for w, table in tables.items()}
+    def test_bad_table_key_exit_2(self, tmp_path, capsys, edit):
+        """The tables member holds exactly one table per grid weight, as canonical base64.
 
-        self.assert_bad_snapshot_exit_2(tmp_path, capsys, edit, f"table key {new!r}")
+        Snapshots of version 2 have no table keys: a weight's table is its
+        place in the member. Each case restates the version-1 table key of
+        its id: a table count that is not the grid's (a 16th table of 15
+        weights, tables up to weight 99, one table too few), or text that a
+        lenient reader takes for other text, as `int` took "1_0", "010",
+        " 10" and "+10" for 10 (base64 decoders skip "_" and spaces unless
+        told to validate).
+        """
+        self.assert_bad_snapshot_exit_2(tmp_path, capsys, edit, "snapshot field 'tables'")
 
-    @pytest.mark.parametrize("rename", [
-        pytest.param(lambda key: "0" + key, id="leading zero"),
-        pytest.param(lambda key: " " + key, id="leading space"),
-        pytest.param(lambda key: "+" + key, id="plus sign"),
-        pytest.param(lambda key: key.replace(",", ", ", 1), id="space after comma"),
-        pytest.param(lambda key: key.replace(",", "_0,", 1), id="underscore"),
-        pytest.param(lambda key: key.rsplit(",", 1)[0], id="three fields"),
-        pytest.param(lambda key: key + ",0", id="five fields"),
-        pytest.param(lambda key: key + ";" + key, id="two keys in one"),
+    @pytest.mark.parametrize("edit", [
+        pytest.param(with_text("keys", lambda text: "0" + text), id="leading zero"),
+        pytest.param(with_text("keys", lambda text: " " + text), id="leading space"),
+        pytest.param(with_text("keys", lambda text: "+" + text), id="plus sign"),
+        pytest.param(with_text("keys", lambda text: text[:4] + " " + text[4:]),
+                     id="space after comma"),
+        pytest.param(with_text("keys", lambda text: text[:4] + "_" + text[4:]), id="underscore"),
+        pytest.param(lambda obj: with_key_fields(obj, 3), id="three fields"),
+        pytest.param(lambda obj: with_key_fields(obj, 5), id="five fields"),
+        pytest.param(with_stream("keys", lambda stream: stream + stream), id="two keys in one"),
     ])
-    def test_noncanonical_state_key_exit_2(self, tmp_path, capsys, rename):
-        bad = {}
+    def test_noncanonical_state_key_exit_2(self, tmp_path, capsys, edit):
+        """The keys member is canonical base64 of one zlib stream of rows of 4 integers.
 
-        def edit(tables):
-            table = tables["0"]
-            key = next(iter(table))
-            bad["key"] = rename(key)
-            tables["0"] = {(bad["key"] if k == key else k): row for k, row in table.items()}
-            return tables
+        Each case makes the version-1 state key edit of its id on the
+        member: a character before or inside its base64 text, rows of 3 or
+        5 integers, or two streams in one member.
+        """
+        self.assert_bad_snapshot_exit_2(tmp_path, capsys, edit, "snapshot field 'keys'")
 
-        self.assert_bad_snapshot_exit_2(
-            tmp_path, capsys, edit, lambda: f"table 0: state key {bad['key']!r}"
-        )
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(with_keys(lambda keys: keys.__setitem__(1, keys[0])),
+                     "row 1 ", id="a key twice"),
+        pytest.param(with_keys(lambda keys: keys.__setitem__([0, 1], keys[[1, 0]])),
+                     "row 1 ", id="two keys swapped"),
+        pytest.param(with_keys(lambda keys: keys.__setitem__((2, 2), 4)), "row 2 ", id="dir 4"),
+        pytest.param(with_keys(lambda keys: keys.__setitem__((3, 3), 8)), "row 3 ", id="mask 8"),
+        pytest.param(with_keys(lambda keys: keys.__setitem__((0, 0), -1)), "row 0 ", id="x -1"),
+    ])
+    def test_key_not_a_state_in_order_exit_2(self, tmp_path, capsys, edit, message):
+        """Every key is a state (dir 0 to 3, mask 0 to 7), and keys are unique and sorted."""
+        self.assert_bad_snapshot_exit_2(tmp_path, capsys, edit,
+                                        "snapshot field 'keys': " + message)
+
+    def test_version_1_snapshot_exit_2(self, tmp_path, capsys):
+        """A version-1 snapshot (one JSON object of states per weight) names its version."""
+        def version_1(obj):
+            keys = unpacked(obj["keys"], "<i4", (-1, 4)).tolist()
+            tables = {str(w): {",".join(map(str, key)): row.tolist()
+                               for key, row in zip(keys, table)}
+                      for w, table in enumerate(q_values(obj))}
+            head = {k: v for k, v in obj.items() if k not in ("rows", "keys", "tables")}
+            return {**head, "version": 1, "tables": tables}
+
+        self.assert_bad_snapshot_exit_2(tmp_path, capsys, version_1,
+                                        "unsupported snapshot version 1; this morlgen reads "
+                                        "version 2")
 
     @staticmethod
     def assert_bad_snapshot_exit_2(tmp_path, capsys, edit, message):
-        """eval --agents exits 2 on a snapshot whose tables `edit` changed, naming the key."""
+        """eval --agents exits 2 on a snapshot that `edit` changed, with `message`."""
         cfg = write_config(tmp_path)
         snaps = tmp_path / "snaps"
         main(["train", "--config", str(cfg), "--mode", "generalist", "--out", str(snaps)])
         path = snaps / "generalist_seed0.json"
-        obj = json.loads(path.read_text())
-        path.write_text(json.dumps({**obj, "tables": edit(obj["tables"])}))
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         out = tmp_path / "o"
         assert main(["eval", "--config", str(cfg), "--agents", str(snaps),
                      "--out", str(out)]) == EXIT_INPUT_ERROR
         err = capsys.readouterr().err
-        message = message() if callable(message) else message
         assert str(path) in err and message in err and "Traceback" not in err
         assert not (out / "report.json").exists()
 

@@ -24,7 +24,6 @@ from morlgen.lavagrid import (
     builtin_eval_contexts,
     compile_context,
     pose_geometry,
-    random_layout,
     render_ascii,
 )
 from morlgen.stats import RandomStream
@@ -355,24 +354,24 @@ class TestBuiltinContexts:
 
 class TestRandomLayout:
     def test_zero_lava(self):
-        layout = random_layout(RandomStream(0), (0, 0), width=5, height=5)
+        layout = LavaGridSpace(5, 5, (0, 0)).sample(RandomStream(0)).layout
         assert (layout.tiles != 1).all() or (layout.tiles == 1).sum() == 0
 
     def test_exactly_three_goals_distinct_cells(self):
         for seed in range(20):
-            layout = random_layout(RandomStream(seed), (0, 5), width=6, height=6)
+            layout = LavaGridSpace(6, 6, (0, 5)).sample(RandomStream(seed)).layout
             layout.validate()
             assert len(layout.goal_positions()) == 3
 
     def test_reachability_oracle(self):
         for seed in range(200):
-            layout = random_layout(RandomStream(seed), (0, 8), width=6, height=6)
+            layout = LavaGridSpace(6, 6, (0, 8)).sample(RandomStream(seed)).layout
             reach = bfs_reachable(layout)
             assert all(p in reach for p in layout.goal_positions().values())
 
     def test_impossible_range_rejected(self):
         with pytest.raises(ValueError):
-            random_layout(RandomStream(0), (30, 30), width=3, height=3)
+            LavaGridSpace(3, 3, (30, 30))
 
     def test_space_sampling_reproducible(self):
         space = LavaGridSpace(width=5, height=5, lava_count_range=(0, 4))

@@ -12,7 +12,6 @@ from morlgen.lavagrid import (
     LavaGridContext,
     LavaGridLayout,
     LavaGridSpace,
-    random_layout,
 )
 from morlgen.oracle import (
     MAX_ENUMERATION_HORIZON,
@@ -21,7 +20,7 @@ from morlgen.oracle import (
     replay_witness,
     specialist_front,
 )
-from morlgen.stats import RandomStream, sample_simplex_batch
+from morlgen.stats import RandomStream
 
 
 def ctx(rows, start, direction, weights, name=None):
@@ -40,9 +39,7 @@ def fronts_close(a, b, atol=1e-9):
 
 
 def random_micro_context(seed, size=4):
-    rng = RandomStream(seed, (9,)).rng()
-    layout = random_layout(rng, (0, 3), width=size, height=size)
-    return LavaGridContext(layout, sample_simplex_batch(rng, 3, 1)[0])
+    return LavaGridSpace(size, size, (0, 3)).sample(RandomStream(seed, (9,)))
 
 
 class TestBackwardInduction:

@@ -15,11 +15,10 @@ from conftest import MICRO_GAMMA, MICRO_HORIZON, micro_suite
 from morlgen.lavagrid import (
     GOAL_CODES,
     NUM_ACTIONS,
-    LavaGridContext,
     LavaGridEnv,
+    LavaGridSpace,
     builtin_context,
     builtin_eval_contexts,
-    random_layout,
 )
 from morlgen.oracle import (
     _build_tables,
@@ -27,15 +26,13 @@ from morlgen.oracle import (
     _prune_to_cap,
     pareto_backward_induction,
 )
-from morlgen.stats import RandomStream, sample_simplex_batch
+from morlgen.stats import RandomStream
 
 CAPS = (None, 2, 4, 8)
 
 
 def random_context(seed, size):
-    rng = RandomStream(seed, (31,)).rng()
-    layout = random_layout(rng, (0, size + 2), width=size, height=size)
-    return LavaGridContext(layout, sample_simplex_batch(rng, 3, 1)[0])
+    return LavaGridSpace(size, size, (0, size + 2)).sample(RandomStream(seed, (31,)))
 
 
 def assert_identical(new, old):
