@@ -301,16 +301,7 @@ def cmd_eval(args) -> int:
     if args.self_test:
         report = harness.evaluate_reference_self_test(config, refs)
     else:
-        scored = harness.scored_contexts(config, refs)
-
-        def seed_fronts(task: int) -> dict[int, ParetoFront]:  # one seed's scored cells
-            seed = config.seeds[task]
-            return {idx: front_for_cell(seed, idx, name, ctx) for idx, name, ctx in scored}
-
-        done = _in_processes(seed_fronts, len(config.seeds), args.parallel)
-        report = harness.evaluate_custom(
-            config, refs, kind, lambda seed, idx, name, ctx: done[config.seeds.index(seed)][idx]
-        )
+        report = harness.evaluate_custom(config, refs, kind, front_for_cell)
     _write_report(report, out_dir)
     _print_summary(report)
     return EXIT_OK
@@ -415,8 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the snapshots' agent kind, with --agents only (default generalist)")
     p.add_argument("--seed", type=int, default=None, help="override config seeds")
     p.add_argument("--parallel", type=_process_count, default=1, metavar="N",
-                   help="compute the reference fronts, then each seed's scored cells, in N processes "
-                        "(default 1); outputs are independent of it")
+                   help="compute the reference fronts in N processes, which claim them one at a "
+                        "time (default 1), and score the cells in this one; outputs are "
+                        "independent of it")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("report", help="render a report as a plain-text table")

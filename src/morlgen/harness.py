@@ -114,12 +114,14 @@ class EvalConfig:
         if not (_is_real(self.alpha) and 0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must be a number in (0, 1], got {self.alpha!r}")
         lava = self.dr_lava_range
-        if len(lava) != 2 or not all(_is_int(n) for n in lava):
-            raise ValueError(f"dr_lava_range must be two integers, got {list(lava)!r}")
+        if not (isinstance(lava, (list, tuple)) and len(lava) == 2
+                and all(_is_int(n) for n in lava)):
+            raise ValueError(f"dr_lava_range must be two integers, got {lava!r}")
+        self.dr_lava_range = tuple(lava)
         self.dr_space()  # raises ValueError unless the lava range fits the grid
 
     def dr_space(self) -> LavaGridSpace:
-        return LavaGridSpace(self.dr_width, self.dr_height, tuple(self.dr_lava_range))
+        return LavaGridSpace(self.dr_width, self.dr_height, self.dr_lava_range)
 
     def weight_grid(self) -> np.ndarray:
         return agents.weight_grid(self.weight_grid_resolution, 3)
@@ -163,10 +165,7 @@ class EvalConfig:
                 else:
                     ctx = LavaGridContext.from_json_obj(item["context"])
                     contexts.append((item.get("name", ctx.name or "context"), ctx))
-            kwargs = dict(obj, contexts=contexts)
-            if "dr_lava_range" in obj:
-                kwargs["dr_lava_range"] = tuple(obj["dr_lava_range"])
-            return cls(**kwargs)
+            return cls(**dict(obj, contexts=contexts))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"invalid config: {exc}") from None
 
@@ -282,6 +281,10 @@ class EvalReport:
             raise ValueError(
                 f"unsupported report schema version {obj.get('schema_version')!r}"
             )
+        for key in ("agent_kind", "cells", "reference_fronts", "excluded_contexts",
+                    "aggregates", "config", "rng_generator", "software_version"):
+            if key not in obj:
+                raise ValueError(f"report has no {key!r} field")
         _check_cells(obj["cells"])
         return cls(
             agent_kind=obj["agent_kind"],
@@ -355,23 +358,6 @@ def _reference_valid(ref: ReferenceFront) -> bool:
     return hv_norm(ref.front, bounds) > 0.0
 
 
-def scored_contexts(
-    config: EvalConfig, refs: dict[str, ReferenceFront]
-) -> list[tuple[int, str, LavaGridContext]]:
-    """The scored contexts, (index, name, context) in name order.
-
-    A context whose reference front is degenerate is left out. Raises
-    ValueError when every context's is.
-    """
-    ordered = sorted((name, idx, ctx) for idx, (name, ctx) in enumerate(config.contexts))
-    scored = [(idx, name, ctx) for name, idx, ctx in ordered if _reference_valid(refs[name])]
-    if not scored:
-        raise ValueError(
-            f"every context has a degenerate reference front: {[name for name, _, _ in ordered]}"
-        )
-    return scored
-
-
 def evaluate_custom(
     config: EvalConfig,
     refs: dict[str, ReferenceFront],
@@ -380,16 +366,22 @@ def evaluate_custom(
 ) -> EvalReport:
     """Score `front_for_cell(seed, index, name, context)` over the scored cells.
 
-    Raises ValueError, before any cell is scored, when every context's
-    reference front is degenerate.
+    The cells of each seed come in context-name order. A context whose
+    reference front is degenerate is left out, and its cells are never
+    computed. Raises ValueError, before any cell is computed, when every
+    context's reference front is degenerate.
     """
-    scored = scored_contexts(config, refs)
     names = sorted(name for name, _ in config.contexts)
-    excluded = sorted(set(names) - {name for _, name, _ in scored})
+    excluded = [name for name in names if not _reference_valid(refs[name])]
+    if len(excluded) == len(names):
+        raise ValueError(f"every context has a degenerate reference front: {names}")
+    scored = sorted(
+        (name, idx, ctx) for idx, (name, ctx) in enumerate(config.contexts) if name not in excluded
+    )
 
     cells: list[dict] = []
     for seed in config.seeds:
-        for idx, name, ctx in scored:
+        for name, idx, ctx in scored:
             ref = refs[name]
             front = front_for_cell(seed, idx, name, ctx)
             weights = sample_simplex_batch(

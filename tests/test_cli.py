@@ -182,6 +182,8 @@ class TestConfigErrors:
         ("dr_lava_range", [3, 1]),
         ("dr_lava_range", [0, 1.5]),
         ("dr_lava_range", [0, 12]),  # 12 lava cells leave a 5x3 grid no room for goals
+        ("dr_lava_range", 5),
+        ("dr_lava_range", None),
     ])
     def test_malformed_value_exit_2_before_any_work(self, tmp_path, capsys, key, value):
         self.assert_train_and_eval_exit_2(tmp_path, write_config(tmp_path, **{key: value}))
@@ -467,7 +469,7 @@ def config_of(tmp_path, contexts):
 
 
 class TestParallelEval:
-    """`eval --parallel N` computes the reference fronts, then each seed's cells, in N processes.
+    """`eval --parallel N` computes the reference fronts in N processes, and the cells in its own.
 
     Each config here has at most 3 contexts, so no test starts more than 3
     processes.
@@ -521,8 +523,8 @@ class TestParallelEval:
     @pytest.mark.parametrize("parallel", ["1", "2", "3"])
     def test_only_scored_cells_computed_each_once(self, tmp_path, monkeypatch, parallel):
         # The two Trivial contexts have degenerate references, so their cells
-        # are never scored: no process may compute them, and none may compute
-        # a scored cell a second time.
+        # are never scored: no process may compute them. The command's own
+        # process computes every scored cell, once.
         (yg, fork_yg), (gy, fork_gy) = micro_suite()[:2]
         contexts = [(yg, fork_yg), ("Trivial", trivial_context("Trivial")), (gy, fork_gy),
                     ("Trivial2", trivial_context("Trivial2"))]
@@ -543,7 +545,7 @@ class TestParallelEval:
         def log_cell(kind, seed, ctx):  # a forked child inherits it
             fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
             try:
-                os.write(fd, f"{kind} {seed} {ctx.name}\n".encode())
+                os.write(fd, f"{kind} {seed} {ctx.name} {os.getpid()}\n".encode())
             finally:
                 os.close(fd)
 
@@ -563,7 +565,7 @@ class TestParallelEval:
             assert main(["eval", "--config", str(cfg), *scored, "--parallel", parallel,
                          "--out", str(tmp_path / scored[0])]) == EXIT_OK
         assert sorted(log.read_text().splitlines()) == sorted(
-            f"{kind} {seed} {name}"
+            f"{kind} {seed} {name} {os.getpid()}"
             for kind in ("agent", "random") for seed in range(3) for name in (yg, gy)
         )
         assert_no_child_left()
@@ -920,6 +922,19 @@ class TestReportCommand:
         assert main(["report", str(path)]) == EXIT_INPUT_ERROR
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key", [
+        "agent_kind", "cells", "reference_fronts", "excluded_contexts", "aggregates", "config",
+        "rng_generator", "software_version",
+    ])
+    def test_missing_field_named_exit_2(self, tmp_path, capsys, key):
+        path = self.make_report(tmp_path)
+        obj = json.loads(path.read_text())
+        del obj[key]
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["report", str(path)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {path}: report has no {key!r} field\n"
 
     def test_not_an_object_exit_2(self, tmp_path, capsys):
         path = tmp_path / "list.json"

@@ -7,7 +7,8 @@ read-only: every wrapped function must exist, and a tiny traced
 train/eval run must give the expected metric names with plain, finite
 Python numbers, also when `train --parallel 2` trains some of its
 agents in a forked child, and when `eval --parallel 2` computes a share
-of its reference fronts in one.
+of its reference fronts in one. `eval` scores every cell in its own
+process, so the traced cell and greedy-rollout counts cover every seed.
 """
 
 import importlib
@@ -60,9 +61,9 @@ def test_every_wrapped_function_exists(tracing):
         assert vars(owner).get(path[-1]) is not None, name
 
 
-def traced_metrics(tracing, tmp_path, train_flags=(), eval_flags=()):
+def traced_metrics(tracing, tmp_path, train_flags=(), eval_flags=(), **config_overrides):
     """The per-layer metrics of a tiny traced train/eval run, checked as strict JSON."""
-    config = str(write_config(tmp_path, train_episodes=40, eval_episodes=20))
+    config = str(write_config(tmp_path, train_episodes=40, eval_episodes=20, **config_overrides))
     snaps = str(tmp_path / "snapshots")
     commands = [
         ["train", "--config", config, "--out", snaps, *train_flags],
@@ -110,3 +111,12 @@ def test_traced_run_evaluating_in_two_processes_keeps_every_metric(tracing, tmp_
     metrics = traced_metrics(tracing, tmp_path, eval_flags=["--parallel", "2"])
     assert 3 <= metrics["oracle.backward_induction_calls"][0] <= 6
     assert metrics["agents.train_episodes"][0] == 2 * 40 + 40
+
+
+def test_traced_run_evaluating_two_seeds_counts_every_cell(tracing, tmp_path):
+    # The forked child may compute a reference front, but never a cell: the
+    # eval-side counters of both seeds come from each eval's own process.
+    metrics = traced_metrics(tracing, tmp_path, eval_flags=["--parallel", "2"], seeds=[0, 1])
+    contexts, seeds = 2, 2
+    assert metrics["agents.greedy_rollouts"][0] == contexts * seeds * 2  # two agent evals
+    assert metrics["harness.cells"][0] == contexts * seeds * 3  # and the random floor
